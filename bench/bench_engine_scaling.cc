@@ -2,12 +2,12 @@
  * @file
  * Engine scaling: single-thread vs N-thread campaign throughput on
  * the Figure 7.x system circuits (the SCAL ALU datapaths) and the
- * Chapter 3 reference networks. jobs=1 is the serial reference loop;
- * jobs>1 routes through the engine (collapse + shard + merge), so
- * the speedup column folds in both the thread scaling and the
- * equivalence-collapse win. Determinism of the results themselves is
- * asserted by tests/test_engine_determinism.cc; this binary measures
- * wall-clock only. Each timing is a warmed-up best/median/stddev over
+ * Chapter 3 reference networks. Every jobs count runs the same
+ * pipeline (collapse + shard + merge); jobs=1 runs it as one chunk on
+ * the calling thread, so the speedup column is thread scaling alone.
+ * Determinism of the results themselves is asserted by
+ * tests/test_engine_determinism.cc; this binary measures wall-clock
+ * only. Each timing is a warmed-up best/median/stddev over
  * --reps repetitions (bench_stats.hh); alongside the human-readable
  * table the measurements are emitted as JSON (stdout and a file) so
  * the CI bench-results artifact carries a machine-readable history.
@@ -160,12 +160,10 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
     std::cout
-        << "\njobs=1 is the serial reference loop over the full "
-           "fault universe; jobs>1 simulates one representative per "
-           "equivalence class on a worker pool and expands the "
-           "verdicts, so its speedup combines collapse and "
-           "parallelism. On a single-core host only the collapse "
-           "factor remains.\n\n";
+        << "\nEvery jobs count simulates one representative per "
+           "equivalence class and expands the verdicts; jobs=1 runs "
+           "that pipeline on the calling thread, so the speedup is "
+           "thread scaling alone.\n\n";
 
     emitJson(std::cout, results, reps);
     std::ofstream f(out_path);

@@ -9,10 +9,11 @@
  * timing, each hardened circuit must pass the alternating-operation
  * verification — a pipeline that emits non-alternating netlists has
  * no throughput worth measuring. The campaign stage is timed twice:
- * once with the fault-parallel defaults (batching + pruning + CPT)
- * and once with every flag off (`campaign_ref`, the legacy per-fault
- * path), after asserting both produce identical verdict counts; each
- * row reports the resulting `speedup`. Results are emitted as JSON
+ * once with the campaign pipeline's defaults (collapsing + batching +
+ * CPT) and once as the uncollapsed per-fault reference oracle
+ * (`campaign_ref`, fault::reference{Alternating,Sequential}Campaign),
+ * after asserting both produce identical verdict counts; each row
+ * reports the resulting `speedup`. Results are emitted as JSON
  * (stdout and --out file) with warmed-up best/median/stddev per
  * stage (bench_stats.hh) so CI can archive the numbers.
  *
@@ -125,18 +126,16 @@ main(int argc, char **argv)
             fault::SeqCampaignOptions opts;
             opts.symbols = symbols;
             opts.jobs = jobs;
-            fault::SeqCampaignOptions ref = opts;
-            ref.dominance = false;
             const auto res =
                 fault::runSequentialCampaign(hard.net, spec, opts);
             const auto resRef =
-                fault::runSequentialCampaign(hard.net, spec, ref);
+                fault::referenceSequentialCampaign(hard.net, spec, opts);
             if (res.numDetected != resRef.numDetected ||
                 res.numUnsafe != resRef.numUnsafe ||
                 res.numUntestable != resRef.numUntestable) {
                 std::cerr << "FATAL: " << name
-                          << " pruned verdicts diverge from the "
-                             "unpruned reference\n";
+                          << " pipeline verdicts diverge from the "
+                             "per-fault reference\n";
                 return 1;
             }
             row.faults = res.faults.size();
@@ -152,21 +151,18 @@ main(int argc, char **argv)
                 reps);
             row.campaignRef = bench::timeStats(
                 [&] {
-                    fault::runSequentialCampaign(hard.net, spec, ref);
+                    fault::referenceSequentialCampaign(hard.net, spec,
+                                                       opts);
                 },
                 reps);
         } else {
             fault::CampaignOptions opts;
             opts.maxPatterns = max_patterns;
             opts.jobs = jobs;
-            fault::CampaignOptions ref = opts;
-            ref.faultBatch = false;
-            ref.cpt = false;
-            ref.dominance = false;
             const auto res =
                 fault::runAlternatingCampaign(hard.net, opts);
             const auto resRef =
-                fault::runAlternatingCampaign(hard.net, ref);
+                fault::referenceAlternatingCampaign(hard.net, opts);
             if (res.numDetected != resRef.numDetected ||
                 res.numUnsafe != resRef.numUnsafe ||
                 res.numUntestable != resRef.numUntestable) {
@@ -185,7 +181,9 @@ main(int argc, char **argv)
                 [&] { fault::runAlternatingCampaign(hard.net, opts); },
                 reps);
             row.campaignRef = bench::timeStats(
-                [&] { fault::runAlternatingCampaign(hard.net, ref); },
+                [&] {
+                    fault::referenceAlternatingCampaign(hard.net, opts);
+                },
                 reps);
         }
         if (row.campaign.best > 0)

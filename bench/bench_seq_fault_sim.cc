@@ -15,12 +15,14 @@
  * (bench_stats.hh). Emits machine-readable JSON (stdout and a file)
  * so CI can archive the numbers.
  *
- * The lane-multiplexed fault-batch path (sim/seq_batch_sim) is timed
- * against the per-fault path on every scenario, digest-checked first;
- * the bundled s1488/s5378-class netlists ride through the real
- * import-and-harden pipeline to anchor the batch speedup at realistic
- * scale (their scalar reference and width sweeps are skipped — the
- * per-fault campaign path doubles as the digest oracle there).
+ * The campaign pipeline (lane-multiplexed fault batches,
+ * sim/seq_batch_sim, at the default 64 lanes) is timed against the
+ * uncollapsed per-fault reference, fault::referenceSequentialCampaign
+ * (`batch_off`), on every scenario, digest-checked first; the bundled
+ * s1488/s5378-class netlists ride through the real import-and-harden
+ * pipeline to anchor the batch speedup at realistic scale (their
+ * scalar reference and width sweeps are skipped — the per-fault
+ * reference doubles as the digest oracle there).
  *
  * Usage: bench_seq_fault_sim [--symbols N] [--lanes N] [--reps N]
  *                            [--circuits DIR] [--out FILE]
@@ -156,7 +158,7 @@ runScalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
             sims[l]->setFault(fl);
             sims[l]->setFaultWindow(opts.faultStart, opts.faultEnd);
         }
-        fault::SeqVerdictAccumulator acc(lane_mask, opts.dropDetected);
+        fault::SeqVerdictAccumulator acc(&lane_mask, 1, opts.dropDetected);
         for (long s = 0; s < symbols; ++s) {
             std::uint64_t alarm = 0, wrong = 0;
             for (int l = 0; l < lanes; ++l) {
@@ -181,7 +183,7 @@ runScalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
                 if (w)
                     wrong |= std::uint64_t{1} << l;
             }
-            if (!acc.addSymbol(s, alarm, wrong))
+            if (!acc.addSymbol(s, &alarm, &wrong))
                 break;
         }
         ScalarVerdict v;
@@ -252,9 +254,8 @@ struct Row
     bool hasScalar = false;
     bool hasWidths = false;
     bench::TimingStats scalar;
-    bench::TimingStats packed;   // default path: fault batching on
-    bench::TimingStats batchOff; // per-fault path (--no-seq-fault-batch)
-    double seqdomOffSeconds = 0; // batching on, seq dominance off
+    bench::TimingStats packed;   // the campaign pipeline
+    bench::TimingStats batchOff; // the per-fault reference
     std::vector<std::pair<int, double>> jobsSeconds;
     std::vector<WidthRow> widths; // ascending lanes; widths[0] is 64
 
@@ -323,7 +324,6 @@ emitJson(std::ostream &os, const std::vector<Row> &rows,
         if (r.hasScalar)
             os << ", \"speedup\": " << r.speedup();
         os << ", \"speedup_fp\": " << r.speedupFp()
-           << ", \"seqdom_off_seconds\": " << r.seqdomOffSeconds
            << ", \"jobs_seconds\": {";
         for (std::size_t k = 0; k < r.jobsSeconds.size(); ++k)
             os << (k ? ", " : "") << "\"" << r.jobsSeconds[k].first
@@ -440,16 +440,13 @@ main(int argc, char **argv)
         opts.seed = 7;
         opts.jobs = 1;
 
-        fault::SeqCampaignOptions offOpts = opts;
-        offOpts.faultBatch = false;
-
         // Verdicts must agree before timing means anything: the
-        // per-fault path against the batch path on every scenario,
+        // per-fault reference against the pipeline on every scenario,
         // and both against the scalar per-lane oracle where it runs.
         const auto packed =
             fault::runSequentialCampaign(sc.net, spec, opts);
         const auto perFault =
-            fault::runSequentialCampaign(sc.net, spec, offOpts);
+            fault::referenceSequentialCampaign(sc.net, spec, opts);
         if (digestPacked(perFault) != digestPacked(packed)) {
             std::cerr << "FATAL: batch/per-fault digest mismatch on "
                       << sc.name << "\n";
@@ -489,21 +486,9 @@ main(int argc, char **argv)
             sreps, swarm);
         row.batchOff = bench::timeStats(
             [&] {
-                fault::runSequentialCampaign(sc.net, spec, offOpts);
+                fault::referenceSequentialCampaign(sc.net, spec, opts);
             },
             sreps, swarm);
-        {
-            fault::SeqCampaignOptions dopts = opts;
-            dopts.seqDominance = false;
-            row.seqdomOffSeconds =
-                bench::timeStats(
-                    [&] {
-                        fault::runSequentialCampaign(sc.net, spec,
-                                                     dopts);
-                    },
-                    sreps, swarm)
-                    .best;
-        }
         if (sc.withWidths) {
             for (int j : {2, 4, 8}) {
                 fault::SeqCampaignOptions jopts = opts;

@@ -54,33 +54,25 @@ class CampaignEngine
   public:
     explicit CampaignEngine(const EngineOptions &opts = {});
 
-    int jobs() const { return pool_.size(); }
+    int jobs() const { return jobs_; }
     ProgressTracker &progress() { return progress_; }
 
     /**
      * Run @p fn(chunk, chunkIndex) over a sharding of [0, n) and
      * return the per-chunk results in chunk-index order. Exceptions
      * from any chunk rethrow here after all chunks finish or drain.
+     * A one-worker engine plans a single chunk and runs it on the
+     * calling thread.
      */
     template <typename R, typename Fn>
     std::vector<R>
     mapChunks(std::size_t n, Fn fn)
     {
-        const std::vector<Chunk> chunks =
-            planShards(n, pool_.size(), opts_.chunksPerWorker,
-                       opts_.minGrain);
-        std::vector<std::future<R>> futures;
-        futures.reserve(chunks.size());
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const Chunk chunk = chunks[c];
-            futures.push_back(
-                pool_.submit([fn, chunk, c]() { return fn(chunk, c); }));
-        }
-        std::vector<R> results;
-        results.reserve(futures.size());
-        for (auto &f : futures)
-            results.push_back(f.get());
-        return results;
+        return runChunks<R>(pool_ ? planShards(n, jobs_,
+                                               opts_.chunksPerWorker,
+                                               opts_.minGrain)
+                                  : wholeRange(n),
+                            fn);
     }
 
     /**
@@ -92,31 +84,61 @@ class CampaignEngine
     std::vector<R>
     mapWeightedChunks(const std::vector<std::uint64_t> &weights, Fn fn)
     {
-        const std::vector<Chunk> chunks = planWeightedShards(
-            weights, pool_.size(), opts_.chunksPerWorker);
-        std::vector<std::future<R>> futures;
-        futures.reserve(chunks.size());
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const Chunk chunk = chunks[c];
-            futures.push_back(
-                pool_.submit([fn, chunk, c]() { return fn(chunk, c); }));
-        }
-        std::vector<R> results;
-        results.reserve(futures.size());
-        for (auto &f : futures)
-            results.push_back(f.get());
-        return results;
+        return runChunks<R>(pool_ ? planWeightedShards(
+                                        weights, jobs_,
+                                        opts_.chunksPerWorker)
+                                  : wholeRange(weights.size()),
+                            fn);
     }
 
     /** Start/stop the periodic reporter per opts_.progressInterval. */
     void beginCampaign(std::uint64_t total_units);
+    /**
+     * Stop the reporter and derive the run's stats. faultsPerSecond
+     * is @p total_faults (the full fault universe the run covered,
+     * not the collapsed classes) over the elapsed wall-clock time, at
+     * every jobs count.
+     */
     CampaignStats endCampaign(std::uint64_t total_faults,
                               std::uint64_t simulated_faults,
                               std::uint64_t patterns_applied);
 
   private:
+    static std::vector<Chunk>
+    wholeRange(std::size_t n)
+    {
+        return n ? std::vector<Chunk>{{0, n}} : std::vector<Chunk>{};
+    }
+
+    /** Run every chunk (on the pool, or inline without one) and
+     *  return the results in chunk order. */
+    template <typename R, typename Fn>
+    std::vector<R>
+    runChunks(const std::vector<Chunk> &chunks, Fn &fn)
+    {
+        std::vector<R> results;
+        results.reserve(chunks.size());
+        if (!pool_) {
+            for (std::size_t c = 0; c < chunks.size(); ++c)
+                results.push_back(fn(chunks[c], c));
+            return results;
+        }
+        std::vector<std::future<R>> futures;
+        futures.reserve(chunks.size());
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const Chunk chunk = chunks[c];
+            futures.push_back(
+                pool_->submit([fn, chunk, c]() { return fn(chunk, c); }));
+        }
+        for (auto &f : futures)
+            results.push_back(f.get());
+        return results;
+    }
+
     EngineOptions opts_;
-    ThreadPool pool_;
+    int jobs_;
+    /** Worker threads; null for a one-worker engine. */
+    std::unique_ptr<ThreadPool> pool_;
     ProgressTracker progress_;
 };
 

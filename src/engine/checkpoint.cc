@@ -10,7 +10,7 @@ namespace
 {
 
 constexpr char kMagic[7] = {'S', 'C', 'A', 'L', 'S', 'N', 'P'};
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 
 [[noreturn]] void
 fail(const std::string &name, std::size_t offset, const std::string &why)
@@ -175,6 +175,11 @@ decodeSnapshot(const std::vector<std::uint8_t> &bytes,
                  "payload size " + std::to_string(psize) +
                      " does not match remaining " +
                      std::to_string(r.remaining()) + " bytes");
+        if (hdr.shard.count > kMaxShards)
+            fail(name, r.offset(),
+                 "shard count " + std::to_string(hdr.shard.count) +
+                     " above the " + std::to_string(kMaxShards) +
+                     " limit");
         if (hdr.shard.count < 1 || hdr.shard.index < 0 ||
             hdr.shard.index >= hdr.shard.count)
             fail(name, r.offset(), "invalid shard spec in header");

@@ -19,6 +19,9 @@
 namespace scal::engine
 {
 
+/** Largest shard count a split may have (CLI and snapshot headers). */
+inline constexpr int kMaxShards = 4096;
+
 /**
  * One shard of an N-way campaign split. The user-facing syntax is
  * "K/N" with K in 1..N; internally the index is zero-based. The
@@ -40,7 +43,7 @@ struct ShardSpec
 };
 
 /**
- * Parse "K/N" (1 <= K <= N, N <= 4096). Throws std::invalid_argument
+ * Parse "K/N" (1 <= K <= N, N <= kMaxShards). Throws std::invalid_argument
  * with the offending text on anything else.
  */
 ShardSpec parseShardSpec(const std::string &text);

@@ -1,6 +1,7 @@
 #include "fault/campaign.hh"
 
 #include <stdexcept>
+#include <utility>
 
 #include "engine/campaign_engine.hh"
 #include "fault/collapse.hh"
@@ -110,8 +111,7 @@ buildBlocks(int ni, bool exhaustive, std::uint64_t num_patterns,
 
 /**
  * Fold one block's lane masks into a fault's running verdict — the
- * single copy of the kernel both the serial and the sharded paths
- * run (it used to be pasted into each).
+ * single copy of the kernel the pipeline and the reference run.
  */
 void
 accumulateVerdict(const sim::WideMasks &m, const PatternBlock &blk,
@@ -143,12 +143,9 @@ accumulateVerdict(const sim::WideMasks &m, const PatternBlock &blk,
 }
 
 /**
- * Classify faults[begin, end) over the shared pattern blocks with the
- * cone-restricted simulator. Each call owns its FaultSimulator (and
- * so its memoized cones and scratch); everything else it reads is
- * immutable, so a fault's verdict cannot depend on which chunk
- * simulated it. jobs == 1 runs this same function over the whole
- * fault list.
+ * Classify faults[begin, end) one fault at a time over the shared
+ * pattern blocks with the cone-restricted simulator: the per-fault
+ * loop of referenceAlternatingCampaign.
  */
 std::vector<Verdict>
 classifyChunk(const sim::FlatNetlist &flat,
@@ -177,9 +174,9 @@ classifyChunk(const sim::FlatNetlist &flat,
     return out;
 }
 
-/** Result of one fault-parallel shard: per-class verdicts for the
- *  positions [plan.classOffset(begin), plan.classOffset(end)) of the
- *  group range, plus the shard's batch count. */
+/** Result of one chunk: per-class verdicts for the positions
+ *  [plan.classOffset(begin), plan.classOffset(end)) of its group
+ *  range, plus its batch count. */
 struct GroupChunkOut
 {
     std::vector<Verdict> verdicts;
@@ -187,10 +184,11 @@ struct GroupChunkOut
 };
 
 /**
- * Fault-parallel counterpart of classifyChunk: classify every class
- * of groups [gbegin, gend) of @p plan over the shared pattern blocks
- * with a BatchClassifier. Same isolation contract — each call owns
- * its simulator and classifier, everything shared is immutable.
+ * Classify every class of groups [gbegin, gend) of @p plan over the
+ * shared pattern blocks with a BatchClassifier. Each call owns its
+ * simulator and classifier (and so its memoized cones and scratch);
+ * everything else it reads is immutable, so a class verdict cannot
+ * depend on which chunk simulated it.
  */
 GroupChunkOut
 classifyGroupChunk(const sim::FlatNetlist &flat,
@@ -224,21 +222,20 @@ classifyGroupChunk(const sim::FlatNetlist &flat,
     return out;
 }
 
-/** Fold expanded per-fault verdicts into the result counters. */
-void
-finalizeResult(CampaignResult &result,
-               const std::vector<Verdict *> &verdictOf)
+Outcome
+outcomeOf(const Verdict &v)
 {
-    for (std::size_t k = 0; k < result.faults.size(); ++k) {
-        const Verdict &v = *verdictOf[k];
-        Outcome o = Outcome::Untestable;
-        if (v.unsafe)
-            o = Outcome::Unsafe;
-        else if (v.tested)
-            o = Outcome::Detected;
-        result.faults[k].outcome = o;
-        result.faults[k].unsafePatterns = v.unsafePatterns;
-        switch (o) {
+    return v.unsafe ? Outcome::Unsafe
+                    : v.tested ? Outcome::Detected : Outcome::Untestable;
+}
+
+/** Per-fault verdicts in allFaults() order -> the result counters:
+ *  the one fold of the inline run, the merge and the reference. */
+void
+countOutcomes(CampaignResult &result)
+{
+    for (const FaultResult &fr : result.faults) {
+        switch (fr.outcome) {
           case Outcome::Untestable: ++result.numUntestable; break;
           case Outcome::Detected:   ++result.numDetected; break;
           case Outcome::Unsafe:     ++result.numUnsafe; break;
@@ -246,10 +243,17 @@ finalizeResult(CampaignResult &result,
     }
 }
 
-} // namespace
+/** The checked pattern stream of a campaign: size, width, kernels. */
+struct Stream
+{
+    std::uint64_t numPatterns = 0;
+    bool exhaustive = false;
+    sim::SimdTarget simd = sim::SimdTarget::Portable;
+    int laneWords = 1;
+};
 
-CampaignResult
-runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
+Stream
+resolveStream(const Netlist &net, const CampaignOptions &opts)
 {
     if (!net.isCombinational())
         throw std::invalid_argument("campaign needs combinational netlist");
@@ -258,193 +262,247 @@ runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
         throw std::invalid_argument(
             "campaign target is not an alternating network "
             "(some output is not self-dual)");
-
-    const int ni = net.numInputs();
-    const bool exhaustive =
-        ni < 63 && (std::uint64_t{1} << ni) <= opts.maxPatterns;
-    const std::uint64_t num_patterns =
-        exhaustive ? (std::uint64_t{1} << ni) : opts.maxPatterns;
-
-    // Resolve the packed width and kernel build once, up front, so
-    // every worker runs the same configuration.
     if (opts.lanes != 0 && opts.lanes != 64 && opts.lanes != 256 &&
         opts.lanes != 512)
         throw std::invalid_argument("lanes must be 0 (auto), 64, 256 or 512");
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lane_words = opts.lanes == 0
-                               ? sim::defaultLaneWords(simd)
-                               : sim::laneWordsForLanes(opts.lanes);
 
-    const std::vector<Fault> faults = net.allFaults();
+    const int ni = net.numInputs();
+    Stream st;
+    st.exhaustive = ni < 63 && (std::uint64_t{1} << ni) <= opts.maxPatterns;
+    st.numPatterns =
+        st.exhaustive ? (std::uint64_t{1} << ni) : opts.maxPatterns;
+    // Resolve the packed width and kernel build once, up front, so
+    // every worker runs the same configuration.
+    st.simd = sim::resolveSimdTarget(opts.simd);
+    st.laneWords = opts.lanes == 0 ? sim::defaultLaneWords(st.simd)
+                                   : sim::laneWordsForLanes(opts.lanes);
+    return st;
+}
+
+/** A result with the fault list and stream identity filled in. */
+CampaignResult
+emptyResult(const std::vector<Fault> &faults, const Stream &st)
+{
     CampaignResult result;
     result.faults.resize(faults.size());
     for (std::size_t k = 0; k < faults.size(); ++k)
         result.faults[k].fault = faults[k];
-    result.patternsApplied = num_patterns;
-    result.lanes = 64 * lane_words;
-    result.simd = simd;
+    result.patternsApplied = st.numPatterns;
+    result.lanes = 64 * st.laneWords;
+    result.simd = st.simd;
+    return result;
+}
 
-    // Compile the netlist once; the flat image and the pattern blocks
-    // are shared read-only by every worker.
-    const sim::FlatNetlist flat(net);
-    const std::vector<PatternBlock> blocks =
-        buildBlocks(ni, exhaustive, num_patterns, opts.seed, lane_words);
+/**
+ * One shard of the comb pipeline. The plan — collapsed classes
+ * (const-refined chains plus dominance pruning), the FFR batch plan
+ * and its per-group costs — is a pure function of (netlist, knobs),
+ * so every process derives the same group space; the shard owns a
+ * cost-weighted contiguous slice of it. Groups are the work units:
+ * batches never straddle a group, and groups map to contiguous class
+ * positions. Class verdicts are batch-composition-independent, which
+ * is what licenses re-planning per shard.
+ */
+class CombSlice : public shard_detail::SliceWork
+{
+  public:
+    CombSlice(const Netlist &net, const CampaignOptions &opts,
+              const engine::ShardSpec &shard)
+        : net_(net), opts_(opts), st_(resolveStream(net, opts)),
+          faults_(net.allFaults()), flat_(net),
+          blocks_(buildBlocks(net.numInputs(), st_.exhaustive,
+                              st_.numPatterns, opts.seed, st_.laneWords)),
+          col_(collapseFaults(
+              net, {.constRefine = true, .dominance = true})),
+          plan_(flat_, faults_, col_.classOf, col_.representatives,
+                col_.pruned, opts.cpt),
+          verdicts_(static_cast<std::size_t>(plan_.numClasses()))
+    {
+        // Cost-weighted split: each shard owns ~equal simulation work
+        // instead of equal group counts.
+        const engine::Chunk slice =
+            engine::shardSliceWeighted(plan_.groupCosts(), shard);
+        g0_ = static_cast<int>(slice.begin);
+        g1_ = static_cast<int>(slice.end);
+        const std::vector<std::uint8_t> inSlice = doneClasses(units());
+        for (std::size_t r = 0; r < inSlice.size(); ++r)
+            if (inSlice[r] && (col_.pruned.empty() || !col_.pruned[r]))
+                ++simulated_;
+        for (const int c : col_.classOf)
+            faultsInSlice_ += inSlice[static_cast<std::size_t>(c)];
+    }
 
-    const int jobs = engine::resolveJobs(opts.jobs);
+    std::uint64_t units() const override
+    {
+        return static_cast<std::uint64_t>(g1_ - g0_);
+    }
+    std::uint64_t classesIn(std::uint64_t u0,
+                            std::uint64_t u1) const override
+    {
+        return plan_.classOffset(g0_ + static_cast<int>(u1)) -
+               plan_.classOffset(g0_ + static_cast<int>(u0));
+    }
+    std::uint64_t faults() const override { return faultsInSlice_; }
+    std::uint64_t simulatedClasses() const override { return simulated_; }
+    std::uint64_t patterns() const override { return st_.numPatterns; }
 
-    // Fault-parallel path: route the collapsed classes through FFR
-    // batching / CPT / dominance pruning (sim/batch_sim.hh). Groups —
-    // not single classes — are the sharding unit, weighted by their
-    // estimated simulation cost, so batches never straddle a chunk
-    // boundary. Verdicts are bit-identical to the legacy path below.
-    if (opts.faultBatch || opts.cpt || opts.dominance) {
-        CollapseOptions copts;
-        copts.constRefine = opts.dominance;
-        copts.dominance = opts.dominance;
-        const CollapseResult col = collapseFaults(net, copts);
-        const sim::FaultBatchPlan plan(flat, faults, col.classOf,
-                                       col.representatives, col.pruned,
-                                       opts.cpt);
-        const sim::BatchPlanStats ps = plan.stats();
-        result.fp.enabled = true;
-        result.fp.totalFaults = col.totalFaults;
-        result.fp.classes = plan.numClasses();
-        result.fp.prunedClasses = ps.prunedClasses;
-        result.fp.prunedFaults = col.prunedFaults;
-        result.fp.flipClasses = ps.flipClasses;
-        result.fp.cptClasses = ps.cptClasses;
-        result.fp.tapClasses = ps.tapClasses;
-        result.fp.simClasses = ps.simClasses;
-
-        std::vector<GroupChunkOut> chunkOuts;
-        if (jobs <= 1) {
-            engine::ProgressTracker progress;
-            progress.start(static_cast<std::uint64_t>(plan.numClasses()));
-            if (opts.progressInterval.count() > 0)
-                progress.startReporter(opts.progressInterval,
-                                       opts.progressCallback);
-            chunkOuts.push_back(classifyGroupChunk(
-                flat, plan, 0, plan.numGroups(), blocks, opts,
-                lane_words, &progress));
-            progress.stopReporter();
-            const auto s = progress.snapshot();
-            result.stats.jobs = 1;
-            result.stats.totalFaults = faults.size();
-            result.stats.simulatedFaults =
-                static_cast<std::uint64_t>(col.simulatedClasses());
-            result.stats.patternsApplied = num_patterns;
-            result.stats.collapseRatio = col.ratio();
-            result.stats.elapsedSeconds = s.elapsedSeconds;
-            result.stats.faultsPerSecond = s.faultsPerSecond();
-            result.stats.patternsPerSecond = s.patternsPerSecond();
-        } else {
-            engine::EngineOptions eopts;
-            eopts.jobs = jobs;
-            eopts.chunksPerWorker = opts.chunksPerWorker;
-            eopts.progressInterval = opts.progressInterval;
-            eopts.progressCallback = opts.progressCallback;
-            engine::CampaignEngine eng(eopts);
-            eng.beginCampaign(static_cast<std::uint64_t>(plan.numClasses()));
-            chunkOuts = eng.mapWeightedChunks<GroupChunkOut>(
-                plan.groupCosts(), [&](engine::Chunk chunk, std::size_t) {
-                    return classifyGroupChunk(
-                        flat, plan, static_cast<int>(chunk.begin),
-                        static_cast<int>(chunk.end), blocks, opts,
-                        lane_words, &eng.progress());
-                });
-            result.stats = eng.endCampaign(
-                faults.size(),
-                static_cast<std::uint64_t>(col.simulatedClasses()),
-                num_patterns);
-        }
-
-        // Deterministic merge: chunk results concatenate back to the
-        // position order of plan.classList(), which maps positions to
-        // class ids; classOf then expands classes over allFaults().
-        std::vector<Verdict *> classVerdict(
-            static_cast<std::size_t>(plan.numClasses()));
-        std::size_t pos = 0;
-        for (GroupChunkOut &co : chunkOuts) {
-            result.fp.batches += co.batches;
+    void
+    classify(engine::CampaignEngine &eng, std::uint64_t u0,
+             std::uint64_t u1) override
+    {
+        const int gb = g0_ + static_cast<int>(u0);
+        const std::vector<std::uint64_t> costs(
+            plan_.groupCosts().begin() + gb,
+            plan_.groupCosts().begin() + g0_ + static_cast<long>(u1));
+        std::vector<GroupChunkOut> outs = eng.mapWeightedChunks<GroupChunkOut>(
+            costs, [&](engine::Chunk chunk, std::size_t) {
+                return classifyGroupChunk(
+                    flat_, plan_, gb + static_cast<int>(chunk.begin),
+                    gb + static_cast<int>(chunk.end), blocks_, opts_,
+                    st_.laneWords, &eng.progress());
+            });
+        // Chunk results concatenate back to the position order of
+        // plan.classList(), which maps positions to class ids.
+        std::size_t pos = plan_.classOffset(gb);
+        for (GroupChunkOut &co : outs) {
+            batches_ += co.batches;
             for (Verdict &v : co.verdicts)
-                classVerdict[static_cast<std::size_t>(
-                    plan.classList()[pos++])] = &v;
+                verdicts_[static_cast<std::size_t>(
+                    plan_.classList()[pos++])] = std::move(v);
         }
-        std::vector<Verdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k)
-            verdictOf[k] = classVerdict[static_cast<std::size_t>(
-                col.classOf[k])];
-        finalizeResult(result, verdictOf);
-        return result;
     }
 
-    if (jobs <= 1) {
-        // Serial reference path: every fault simulated individually,
-        // no collapsing, no pool.
-        engine::ProgressTracker progress;
-        progress.start(faults.size());
-        if (opts.progressInterval.count() > 0)
-            progress.startReporter(opts.progressInterval,
-                                   opts.progressCallback);
-        std::vector<Verdict> verdicts =
-            classifyChunk(flat, faults, 0, faults.size(), blocks, opts,
-                          lane_words, &progress);
-        progress.stopReporter();
-        std::vector<Verdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k)
-            verdictOf[k] = &verdicts[k];
-        finalizeResult(result, verdictOf);
-        const auto s = progress.snapshot();
-        result.stats.jobs = 1;
-        result.stats.totalFaults = faults.size();
-        result.stats.simulatedFaults = faults.size();
-        result.stats.patternsApplied = num_patterns;
-        result.stats.collapseRatio = 1.0;
-        result.stats.elapsedSeconds = s.elapsedSeconds;
-        result.stats.faultsPerSecond = s.faultsPerSecond();
-        result.stats.patternsPerSecond = s.patternsPerSecond();
-        return result;
+    engine::SnapshotHeader
+    identity() const override
+    {
+        engine::SnapshotHeader h;
+        h.kind = "comb";
+        h.netHash = netlist::contentHash(net_);
+        h.configKey = canonicalCampaignConfig(opts_);
+        h.shapeKey = std::string("comb;fb=") +
+                     (opts_.faultBatch ? '1' : '0') + ";cpt=" +
+                     (opts_.cpt ? '1' : '0');
+        return h;
     }
 
-    // Parallel path: collapse the universe, shard the representative
-    // classes across the pool, then expand class verdicts back over
-    // the full fault list in allFaults() order. Equivalent faults
-    // produce the same faulty global function, so expansion is exact
-    // — the determinism tests cross-check this against jobs == 1.
-    const CollapseResult col = collapseFaults(net);
+    std::vector<std::uint8_t>
+    encodePayload(std::uint64_t cursor) const override
+    {
+        shard_detail::CombPayload p;
+        p.patternsApplied = st_.numPatterns;
+        p.lanes = 64 * st_.laneWords;
+        p.simd = sim::simdTargetName(st_.simd);
+        p.fp = tail();
+        const std::vector<std::uint8_t> done = doneClasses(cursor);
+        for (std::size_t k = 0; k < faults_.size(); ++k) {
+            const std::size_t c = static_cast<std::size_t>(col_.classOf[k]);
+            if (!done[c])
+                continue;
+            shard_detail::CombRecord rec;
+            rec.faultIndex = static_cast<std::uint32_t>(k);
+            rec.outcome = static_cast<std::uint8_t>(outcomeOf(verdicts_[c]));
+            rec.unsafePatterns = verdicts_[c].unsafePatterns;
+            p.records.push_back(std::move(rec));
+        }
+        return shard_detail::encodeCombPayload(p);
+    }
 
-    engine::EngineOptions eopts;
-    eopts.jobs = jobs;
-    eopts.chunksPerWorker = opts.chunksPerWorker;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(col.representatives.size());
+    void
+    restorePayload(const std::vector<std::uint8_t> &payload,
+                   std::uint64_t cursor, const std::string &name) override
+    {
+        shard_detail::CombPayload p =
+            shard_detail::decodeCombPayload(payload, name);
+        std::vector<std::uint32_t> index;
+        for (const shard_detail::CombRecord &rec : p.records)
+            index.push_back(rec.faultIndex);
+        shard_detail::checkResumedCoverage(index, col_.classOf,
+                                           doneClasses(cursor), name);
+        for (shard_detail::CombRecord &rec : p.records) {
+            Verdict &v = verdicts_[static_cast<std::size_t>(
+                col_.classOf[rec.faultIndex])];
+            const Outcome o = static_cast<Outcome>(rec.outcome);
+            v.unsafe = o == Outcome::Unsafe;
+            v.tested = o != Outcome::Untestable;
+            v.unsafePatterns = std::move(rec.unsafePatterns);
+        }
+        batches_ = p.fp.batches;
+    }
 
-    auto chunkVerdicts = eng.mapChunks<std::vector<Verdict>>(
-        col.representatives.size(),
-        [&](engine::Chunk chunk, std::size_t) {
-            return classifyChunk(flat, col.representatives, chunk.begin,
-                                 chunk.end, blocks, opts, lane_words,
-                                 &eng.progress());
-        });
+    /** The inline run's merge: class verdicts over allFaults(). */
+    CampaignResult
+    result() const
+    {
+        CampaignResult r = emptyResult(faults_, st_);
+        for (std::size_t k = 0; k < faults_.size(); ++k) {
+            const Verdict &v =
+                verdicts_[static_cast<std::size_t>(col_.classOf[k])];
+            r.faults[k].outcome = outcomeOf(v);
+            r.faults[k].unsafePatterns = v.unsafePatterns;
+        }
+        countOutcomes(r);
+        r.fp = tail();
+        return r;
+    }
 
-    // Deterministic merge: concatenate chunk results in chunk order,
-    // then map every original fault to its class verdict.
-    std::vector<Verdict *> repVerdict;
-    repVerdict.reserve(col.representatives.size());
-    for (auto &chunk : chunkVerdicts)
-        for (Verdict &v : chunk)
-            repVerdict.push_back(&v);
+  private:
+    /** The fault-parallel tail of this shard. */
+    FaultParallelStats
+    tail() const
+    {
+        const sim::BatchPlanStats ps = plan_.stats();
+        FaultParallelStats fp;
+        fp.enabled = true;
+        fp.totalFaults = static_cast<int>(faults_.size());
+        fp.classes = plan_.numClasses();
+        fp.prunedClasses = ps.prunedClasses;
+        fp.prunedFaults = col_.prunedFaults;
+        fp.flipClasses = ps.flipClasses;
+        fp.cptClasses = ps.cptClasses;
+        fp.tapClasses = ps.tapClasses;
+        fp.simClasses = ps.simClasses;
+        fp.batches = batches_;
+        return fp;
+    }
 
-    std::vector<Verdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = repVerdict[col.classOf[k]];
-    finalizeResult(result, verdictOf);
+    /** Classes settled by units (groups) [0, cursor) of the slice. */
+    std::vector<std::uint8_t>
+    doneClasses(std::uint64_t cursor) const
+    {
+        std::vector<std::uint8_t> done(verdicts_.size(), 0);
+        for (std::size_t p = plan_.classOffset(g0_);
+             p < plan_.classOffset(g0_ + static_cast<int>(cursor)); ++p)
+            done[static_cast<std::size_t>(plan_.classList()[p])] = 1;
+        return done;
+    }
 
-    result.stats = eng.endCampaign(faults.size(),
-                                   col.representatives.size(),
-                                   num_patterns);
+    const Netlist &net_;
+    const CampaignOptions &opts_;
+    const Stream st_;
+    const std::vector<Fault> faults_;
+    const sim::FlatNetlist flat_;
+    const std::vector<PatternBlock> blocks_;
+    const CollapseResult col_;
+    const sim::FaultBatchPlan plan_;
+    int g0_ = 0, g1_ = 0;
+    std::uint64_t simulated_ = 0;
+    std::uint64_t faultsInSlice_ = 0;
+    /** Per class id; valid for the classes classified so far. */
+    std::vector<Verdict> verdicts_;
+    std::uint64_t batches_ = 0;
+};
+
+} // namespace
+
+CampaignResult
+runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
+{
+    CombSlice work(net, opts, {});
+    const ShardOutcome out = shard_detail::runSlices(
+        work, {}, {}, /*publish=*/false, shard_detail::engineOptions(opts),
+        opts.cancel);
+    CampaignResult result = work.result();
+    result.stats = out.stats;
     return result;
 }
 
@@ -454,269 +512,96 @@ runAlternatingCampaignShard(const Netlist &net,
                             const engine::ShardSpec &shard,
                             const CheckpointOptions &ckpt)
 {
-    if (!net.isCombinational())
-        throw std::invalid_argument("campaign needs combinational netlist");
-    if (opts.checkAlternating && net.numInputs() <= 20 &&
-        !sim::isAlternatingNetwork(net))
-        throw std::invalid_argument(
-            "campaign target is not an alternating network "
-            "(some output is not self-dual)");
+    CombSlice work(net, opts, shard);
+    return shard_detail::runSlices(work, shard, ckpt, /*publish=*/true,
+                                   shard_detail::engineOptions(opts),
+                                   opts.cancel);
+}
 
-    const int ni = net.numInputs();
-    const bool exhaustive =
-        ni < 63 && (std::uint64_t{1} << ni) <= opts.maxPatterns;
-    const std::uint64_t num_patterns =
-        exhaustive ? (std::uint64_t{1} << ni) : opts.maxPatterns;
+CampaignResult
+mergeCampaignPartials(const netlist::Netlist &net,
+                      const std::vector<std::vector<std::uint8_t>> &partials,
+                      const std::vector<std::string> &names)
+{
+    using shard_detail::partialName;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    shard_detail::validatePartials("comb", netlist::contentHash(net),
+                                   partials, names, &payloads);
 
-    if (opts.lanes != 0 && opts.lanes != 64 && opts.lanes != 256 &&
-        opts.lanes != 512)
-        throw std::invalid_argument("lanes must be 0 (auto), 64, 256 or 512");
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lane_words = opts.lanes == 0
-                               ? sim::defaultLaneWords(simd)
-                               : sim::laneWordsForLanes(opts.lanes);
+    const std::vector<Fault> faults = net.allFaults();
+    CampaignResult result;
+    result.faults.resize(faults.size());
+    for (std::size_t k = 0; k < faults.size(); ++k)
+        result.faults[k].fault = faults[k];
 
-    // The shard universe is the fault-parallel plan's *group* space:
-    // batches never straddle a group, groups map to contiguous class
-    // positions, and the plan is a pure function of (netlist, knobs),
-    // so every process derives the same split. Class verdicts are
-    // batch-composition-independent (the PR 7 equivalence contract),
-    // which is what licenses re-planning per shard.
+    // Fill per-fault verdicts by global index, exactly once.
+    std::vector<std::uint8_t> covered(faults.size(), 0);
+    for (std::size_t i = 0; i < partials.size(); ++i) {
+        const std::string name = partialName(names, i);
+        shard_detail::CombPayload p =
+            shard_detail::decodeCombPayload(payloads[i], name);
+        if (i == 0) {
+            result.patternsApplied = p.patternsApplied;
+            result.lanes = p.lanes;
+            result.simd = shard_detail::parseSimdName(p.simd, name);
+        } else if (p.patternsApplied != result.patternsApplied ||
+                   p.lanes != result.lanes) {
+            throw engine::SnapshotError(
+                name + ": pattern/lane header disagrees with " +
+                partialName(names, 0));
+        }
+        if (i == 0)
+            result.fp = p.fp;
+        else
+            result.fp.batches += p.fp.batches;
+        for (shard_detail::CombRecord &rec : p.records) {
+            shard_detail::coverFault(covered, rec.faultIndex, name);
+            FaultResult &fr = result.faults[rec.faultIndex];
+            fr.outcome = static_cast<Outcome>(rec.outcome);
+            fr.unsafePatterns = std::move(rec.unsafePatterns);
+        }
+    }
+    shard_detail::checkAllCovered(covered);
+
+    countOutcomes(result);
+    result.fp.enabled = true;
+    result.fp.totalFaults = static_cast<int>(faults.size());
+    result.stats = shard_detail::mergedStats(
+        faults.size(),
+        static_cast<std::uint64_t>(result.fp.classes -
+                                   result.fp.prunedClasses),
+        result.patternsApplied);
+    return result;
+}
+
+CampaignResult
+referenceAlternatingCampaign(const Netlist &net,
+                             const CampaignOptions &opts)
+{
+    const Stream st = resolveStream(net, opts);
     const std::vector<Fault> faults = net.allFaults();
     const sim::FlatNetlist flat(net);
-    const std::vector<PatternBlock> blocks =
-        buildBlocks(ni, exhaustive, num_patterns, opts.seed, lane_words);
+    const std::vector<PatternBlock> blocks = buildBlocks(
+        net.numInputs(), st.exhaustive, st.numPatterns, opts.seed,
+        st.laneWords);
 
-    CollapseOptions copts;
-    copts.constRefine = opts.dominance;
-    copts.dominance = opts.dominance;
-    const CollapseResult col = collapseFaults(net, copts);
-    const sim::FaultBatchPlan plan(flat, faults, col.classOf,
-                                   col.representatives, col.pruned,
-                                   opts.cpt);
+    engine::EngineOptions eopts = shard_detail::engineOptions(opts);
+    eopts.jobs = 1;
+    engine::CampaignEngine eng(eopts);
+    eng.beginCampaign(faults.size());
+    const std::vector<Verdict> verdicts =
+        classifyChunk(flat, faults, 0, faults.size(), blocks, opts,
+                      st.laneWords, &eng.progress());
 
-    // Cost-weighted split: groups carry the plan's per-group cone
-    // costs, so each shard owns ~equal simulation work instead of
-    // equal group counts — equal counts leave the fleet's critical
-    // path hostage to wherever the big cones cluster.
-    const engine::Chunk slice =
-        engine::shardSliceWeighted(plan.groupCosts(), shard);
-    const int g0 = static_cast<int>(slice.begin);
-    const int g1 = static_cast<int>(slice.end);
-
-    const std::uint64_t net_hash = netlist::contentHash(net);
-    const std::string config_key = canonicalCampaignConfig(opts);
-    std::string shape_key = "comb;fb=";
-    shape_key += opts.faultBatch ? '1' : '0';
-    shape_key += ";cpt=";
-    shape_key += opts.cpt ? '1' : '0';
-    shape_key += ";dom=";
-    shape_key += opts.dominance ? '1' : '0';
-
-    ShardOutcome out;
-    out.units = slice.size();
-    out.shardClasses = static_cast<int>(plan.classOffset(g1) -
-                                        plan.classOffset(g0));
-
-    // every < 0 = auto cadence: ~16 snapshots across this shard with
-    // a 64-class floor. Snapshots are self-contained (all records so
-    // far), so a fixed fine cadence on a big universe would pay
-    // O(snapshots x records) encode-and-write bytes.
-    const int every =
-        ckpt.every >= 0
-            ? ckpt.every
-            : static_cast<int>(std::max<std::uint64_t>(
-                  64,
-                  static_cast<std::uint64_t>(out.shardClasses) / 16));
-
-    // Class -> member faults, in ascending fault order (one pass over
-    // allFaults()), so record order is a pure function of positions.
-    std::vector<std::vector<std::uint32_t>> classFaults(
-        static_cast<std::size_t>(plan.numClasses()));
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        classFaults[static_cast<std::size_t>(col.classOf[k])].push_back(
-            static_cast<std::uint32_t>(k));
-
-    std::vector<shard_detail::CombRecord> records;
-    std::uint64_t batches = 0;
-    std::uint64_t cursor = 0;
-
-    if (ckpt.resume) {
-        std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "comb")
-            throw engine::SnapshotError(ckpt.resumeName +
-                                        ": not a comb campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different circuit");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.shapeKey != shape_key || h.units != out.units)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": work-shape mismatch; rerun without --resume");
-        if (!(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": snapshot is shard " + h.shard.str() +
-                ", not " + shard.str());
-        shard_detail::CombPayload p =
-            shard_detail::decodeCombPayload(payload, ckpt.resumeName);
-        records = std::move(p.records);
-        batches = p.batches;
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
+    CampaignResult result = emptyResult(faults, st);
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+        result.faults[k].outcome = outcomeOf(verdicts[k]);
+        result.faults[k].unsafePatterns = verdicts[k].unsafePatterns;
     }
-
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        shard_detail::CombPayload p;
-        p.patternsApplied = num_patterns;
-        p.lanes = 64 * lane_words;
-        p.simd = sim::simdTargetName(simd);
-        p.batches = batches;
-        p.records = records;
-        engine::SnapshotHeader h;
-        h.kind = "comb";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(h,
-                                      shard_detail::encodeCombPayload(p));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
-
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    engine::ProgressTracker serialProgress;
-    engine::ProgressTracker *progress = nullptr;
-    if (jobs > 1) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.chunksPerWorker = opts.chunksPerWorker;
-        eopts.progressInterval = opts.progressInterval;
-        eopts.progressCallback = opts.progressCallback;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-        progress = &eng->progress();
-    } else {
-        serialProgress.start(static_cast<std::uint64_t>(out.shardClasses));
-        if (opts.progressInterval.count() > 0)
-            serialProgress.startReporter(opts.progressInterval,
-                                         opts.progressCallback);
-        progress = &serialProgress;
-    }
-
-    const std::vector<std::uint64_t> &costs = plan.groupCosts();
-    while (cursor < out.units) {
-        // Advance the block to cover >= `every` classes, always on
-        // a group boundary so class positions stay contiguous.
-        const int gb = g0 + static_cast<int>(cursor);
-        int ge = gb;
-        std::size_t block_classes = 0;
-        do {
-            block_classes += plan.classOffset(ge + 1) -
-                             plan.classOffset(ge);
-            ++ge;
-        } while (ge < g1 &&
-                 (every <= 0 ||
-                  block_classes < static_cast<std::size_t>(every)));
-
-        std::vector<GroupChunkOut> chunkOuts;
-        try {
-            if (eng) {
-                const std::vector<std::uint64_t> wslice(
-                    costs.begin() + gb, costs.begin() + ge);
-                chunkOuts = eng->mapWeightedChunks<GroupChunkOut>(
-                    wslice, [&](engine::Chunk chunk, std::size_t) {
-                        return classifyGroupChunk(
-                            flat, plan,
-                            gb + static_cast<int>(chunk.begin),
-                            gb + static_cast<int>(chunk.end), blocks,
-                            opts, lane_words, progress);
-                    });
-            } else {
-                chunkOuts.push_back(classifyGroupChunk(
-                    flat, plan, gb, ge, blocks, opts, lane_words,
-                    progress));
-            }
-        } catch (const engine::CampaignCancelled &) {
-            // Satellite: an interrupt lands a final checkpoint at the
-            // last completed block instead of discarding the work.
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw;
-        }
-
-        // Expand the block's class verdicts to per-fault records in
-        // position order; merge re-sorts nothing.
-        std::size_t pos = plan.classOffset(gb);
-        for (const GroupChunkOut &co : chunkOuts) {
-            batches += co.batches;
-            for (const Verdict &v : co.verdicts) {
-                const int cid = plan.classList()[pos++];
-                Outcome o = Outcome::Untestable;
-                if (v.unsafe)
-                    o = Outcome::Unsafe;
-                else if (v.tested)
-                    o = Outcome::Detected;
-                for (const std::uint32_t k :
-                     classFaults[static_cast<std::size_t>(cid)]) {
-                    shard_detail::CombRecord rec;
-                    rec.faultIndex = k;
-                    rec.outcome = static_cast<std::uint8_t>(o);
-                    rec.unsafePatterns = v.unsafePatterns;
-                    records.push_back(std::move(rec));
-                }
-            }
-        }
-
-        cursor = static_cast<std::uint64_t>(ge - g0);
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true); // empty trailing shard still publishes a partial
-
-    out.shardFaults = static_cast<int>(records.size());
-    if (eng) {
-        out.stats = eng->endCampaign(
-            static_cast<std::uint64_t>(out.shardFaults),
-            static_cast<std::uint64_t>(out.shardClasses), num_patterns);
-    } else {
-        serialProgress.stopReporter();
-        const auto s = serialProgress.snapshot();
-        out.stats.jobs = 1;
-        out.stats.totalFaults =
-            static_cast<std::uint64_t>(out.shardFaults);
-        out.stats.simulatedFaults =
-            static_cast<std::uint64_t>(out.shardClasses);
-        out.stats.patternsApplied = num_patterns;
-        out.stats.elapsedSeconds = s.elapsedSeconds;
-        out.stats.faultsPerSecond = s.faultsPerSecond();
-        out.stats.patternsPerSecond = s.patternsPerSecond();
-    }
-    return out;
+    countOutcomes(result);
+    result.stats =
+        eng.endCampaign(faults.size(), faults.size(), st.numPatterns);
+    return result;
 }
 
 } // namespace scal::fault

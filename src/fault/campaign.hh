@@ -5,15 +5,17 @@
  * alternating input pair (X, X̄) and classify the fault per the
  * self-checking definitions of Chapter 2/3.
  *
- * Campaigns route through the parallel engine (src/engine): the fault
- * universe is equivalence-collapsed, sharded into chunks, and each
- * chunk is simulated by a worker with the packed evaluator at 64, 256
- * or 512 lanes per replay (see `lanes`/`simd` below). Results are
- * merged deterministically, and the pattern->lane mapping preserves
- * the global pattern order, so the same (netlist, seed, maxPatterns)
- * triple yields a bit-identical CampaignResult at any jobs count, any
- * lane width, and any SIMD dispatch target. jobs == 1 runs the
- * original single-threaded loop.
+ * A campaign is one pipeline (fault/shard.hh): the fault universe is
+ * equivalence-collapsed (with structural dominance pruning), planned
+ * into fanout-free-region groups, and the groups are classified on
+ * the parallel engine (src/engine) with the packed evaluator at 64,
+ * 256 or 512 lanes per replay (see `lanes`/`simd` below). Results
+ * are merged deterministically, and the pattern->lane mapping
+ * preserves the global pattern order, so the same (netlist, seed,
+ * maxPatterns) triple yields a bit-identical CampaignResult at any
+ * jobs count, any lane width, any SIMD dispatch target and any shard
+ * split. referenceAlternatingCampaign keeps the uncollapsed
+ * per-fault loop as the oracle the equivalence tests compare with.
  */
 
 #ifndef SCAL_FAULT_CAMPAIGN_HH
@@ -47,8 +49,8 @@ struct CampaignOptions
      */
     bool checkAlternating = true;
     /**
-     * Worker threads: 0 = hardware_concurrency, 1 = the serial
-     * reference path (no collapsing, no pool).
+     * Worker threads: 0 = hardware_concurrency. 1 runs the same
+     * pipeline as one chunk on the calling thread (no pool).
      */
     int jobs = 0;
     /** Oversubscription factor for the engine's shard plan. */
@@ -81,9 +83,8 @@ struct CampaignOptions
     /**
      * @name Fault-parallel fast paths
      * Purely performance knobs: any combination yields verdicts
-     * bit-identical to the all-off reference path (asserted by
-     * tests/test_fault_parallel_equiv.cc). With all three off the
-     * campaign runs the legacy per-fault code.
+     * bit-identical to referenceAlternatingCampaign (asserted by
+     * tests/test_fault_parallel_equiv.cc).
      */
     /** @{ */
     /** Pack fault classes with pairwise-disjoint fanout cones into
@@ -93,10 +94,6 @@ struct CampaignOptions
      *  faults from the cached good values plus the region root's flip
      *  response — no cone replay at all. */
     bool cpt = true;
-    /** Const-refined equivalence chains plus structural dominance
-     *  pruning (fault/collapse.hh): classes whose faults are forced
-     *  Untestable are skipped instead of simulated. */
-    bool dominance = true;
     /** @} */
 };
 
@@ -108,7 +105,7 @@ struct CampaignOptions
  */
 struct FaultParallelStats
 {
-    /** False when the campaign ran the legacy per-fault path. */
+    /** False for referenceAlternatingCampaign results. */
     bool enabled = false;
     int totalFaults = 0;
     /** Equivalence classes after collapsing. */
@@ -126,8 +123,8 @@ struct FaultParallelStats
     int tapClasses = 0;
     /** Classes that required cone simulation. */
     int simClasses = 0;
-    /** Simulation passes per pattern block, summed over shards
-     *  (jobs-dependent — see struct comment). */
+    /** Simulation passes per pattern block, summed over chunks and
+     *  shards (jobs-dependent — see struct comment). */
     std::uint64_t batches = 0;
 };
 
@@ -171,6 +168,16 @@ struct CampaignResult
  */
 CampaignResult runAlternatingCampaign(const netlist::Netlist &net,
                                       const CampaignOptions &opts = {});
+
+/**
+ * The oracle: every fault of @p net simulated on its own, uncollapsed
+ * and serial, over the same pattern stream. Honours the stream and
+ * width fields of @p opts and ignores jobs and the fast-path knobs;
+ * fp.enabled is false. Verdicts equal runAlternatingCampaign's.
+ */
+CampaignResult
+referenceAlternatingCampaign(const netlist::Netlist &net,
+                             const CampaignOptions &opts = {});
 
 } // namespace scal::fault
 

@@ -80,9 +80,10 @@ std::string
 campaignTailJson(const CampaignResult &res)
 {
     // The fault-parallel breakdown lives in the tail, not the
-    // verdict: `batches` is jobs-dependent and the class counts vary
-    // with the pruning knobs, so putting them in the verdict would
-    // break the byte-stability of cached results across those axes.
+    // verdict: `batches` is jobs- and shard-dependent and the class
+    // counts vary with the cpt knob, so putting them in the verdict
+    // would break the byte-stability of cached results across those
+    // axes.
     std::ostringstream os;
     os << "  \"fault_parallel\": {\"enabled\": "
        << (res.fp.enabled ? "true" : "false")
@@ -144,9 +145,8 @@ std::string
 seqCampaignTailJson(const SeqCampaignResult &res)
 {
     // Like the combinational tail's fault_parallel block: batch and
-    // class counts move with the batching/collapse knobs and the
-    // memo counters with call history, so none of it may enter the
-    // deterministic verdict block.
+    // class counts move with the lane width and the shard split, so
+    // none of it may enter the deterministic verdict block.
     std::ostringstream os;
     os << "  \"periods_simulated\": " << res.periodsSimulated << ",\n"
        << "  \"periods_skipped\": " << res.periodsSkipped << ",\n"
@@ -160,9 +160,7 @@ seqCampaignTailJson(const SeqCampaignResult &res)
        << ", \"pruned_faults\": " << res.prunedFaults
        << ", \"batched_classes\": " << res.batchedClasses
        << ", \"batches\": " << res.batches
-       << ", \"retired_early\": " << res.retiredEarly
-       << ", \"memo_hits\": " << res.memoHits
-       << ", \"memo_misses\": " << res.memoMisses << "},\n"
+       << ", \"retired_early\": " << res.retiredEarly << "},\n"
        << "  \"stats\": " << res.stats.toJson();
     return os.str();
 }

@@ -1,10 +1,8 @@
 #include "fault/seq_campaign.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "engine/campaign_engine.hh"
 #include "fault/collapse.hh"
@@ -52,37 +50,37 @@ struct RepVerdict
     long periodsSkipped = 0;
 };
 
-/** Alarm words of one symbol's two output-block rows (laneWords words
- *  per output, sim/wide.hh layout). */
-void
-alarmWords(const ResolvedSpec &rs, const std::uint64_t *p0,
-           const std::uint64_t *p1, std::uint64_t *alarm)
+/** A finished accumulator's verdict, latencies bucketed. */
+RepVerdict
+foldVerdict(const SeqVerdictAccumulator &acc, int lanes)
 {
-    const int W = rs.laneWords;
-    for (int w = 0; w < W; ++w)
-        alarm[w] = 0;
-    for (const int j : rs.altOutputs)
-        for (int w = 0; w < W; ++w)
-            alarm[w] |= ~(p0[j * W + w] ^ p1[j * W + w]);
-    for (std::size_t c = 0; c + 1 < rs.codePairs.size(); c += 2) {
-        const int p = rs.codePairs[c], q = rs.codePairs[c + 1];
-        for (int w = 0; w < W; ++w) {
-            alarm[w] |= ~(p0[p * W + w] ^ p0[q * W + w]);
-            alarm[w] |= ~(p1[p * W + w] ^ p1[q * W + w]);
+    RepVerdict rv;
+    rv.outcome = acc.outcome();
+    rv.firstAlarm = acc.firstAlarmPeriod();
+    rv.firstEscape = acc.firstEscapePeriod();
+    for (int l = 0; l < lanes; ++l) {
+        const long p = acc.laneFirstAlarm(l);
+        if (p >= 0) {
+            ++rv.latHist[latencyBucket(p)];
+            ++rv.alarmLanes;
+            rv.latSum += static_cast<std::uint64_t>(p);
         }
     }
+    return rv;
 }
 
 /**
- * Classify faults[begin, end) against the shared trace. Each call
- * owns its SeqFaultSimulator; everything it reads is immutable, so a
+ * Classify faults[begin, end) one at a time against the shared trace
+ * (the single-fault replay step: used where one fault fills the
+ * kernel block, and by the reference). Each call owns its
+ * SeqFaultSimulator; everything it reads is immutable, so a
  * fault's verdict cannot depend on which chunk simulated it. The
  * packed kernel only reports periods whose outputs differ from the
  * trace; undelivered halves of a symbol are read from the trace
  * (bit-identical by the kernel's contract), and symbols with no
  * delivery at all contribute nothing — valid because the fault-free
- * machine is alarm-free (checked by runSequentialCampaign) and
- * trivially has no wrong data words.
+ * machine is alarm-free (checked by buildTrace) and trivially has no
+ * wrong data words.
  */
 std::vector<RepVerdict>
 classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
@@ -153,17 +151,7 @@ classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
             flush(pending, nullptr); // trailing phase-0-only divergence
 
         RepVerdict &rv = out[k - begin];
-        rv.outcome = acc.outcome();
-        rv.firstAlarm = acc.firstAlarmPeriod();
-        rv.firstEscape = acc.firstEscapePeriod();
-        for (int l = 0; l < opts.lanes; ++l) {
-            const long p = acc.laneFirstAlarm(l);
-            if (p >= 0) {
-                ++rv.latHist[latencyBucket(p)];
-                ++rv.alarmLanes;
-                rv.latSum += static_cast<std::uint64_t>(p);
-            }
-        }
+        rv = foldVerdict(acc, opts.lanes);
         rv.periodsSimulated = fsim.periodsSimulated();
         rv.periodsSkipped = fsim.periodsSkipped();
         if (progress) {
@@ -180,8 +168,7 @@ classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
 
 /**
  * Validate the spec against the netlist and resolve its defaults plus
- * the packed lane mask. Shared by the inline campaign and the shard
- * runner so both see the identical checked universe.
+ * the packed lane mask.
  */
 ResolvedSpec
 resolveSeqSpec(const Netlist &net, const SeqCampaignSpec &spec,
@@ -228,23 +215,6 @@ resolveSeqSpec(const Netlist &net, const SeqCampaignSpec &spec,
     return rs;
 }
 
-/**
- * The effective seqDominance knob: the sequential collapse rules
- * provably prune nothing on a verified self-dual hardened realization
- * (EXPERIMENTS E23 — the Yamamoto mux isolates every original line
- * behind φ-gated reconvergence), so skip the pass there unless forced.
- * Verdict-neutral: the rules are exact, only analysis time moves.
- */
-bool
-effectiveSeqDominance(const Netlist &net, const SeqCampaignOptions &opts)
-{
-    if (!opts.seqDominance)
-        return false;
-    if (opts.seqDominanceForce)
-        return true;
-    return !netlist::looksSelfDualHardened(net);
-}
-
 /** Fold expanded per-fault verdicts into the result. */
 void
 finalizeSeqResult(SeqCampaignResult &result,
@@ -273,94 +243,39 @@ finalizeSeqResult(SeqCampaignResult &result,
             static_cast<double>(result.alarmLaneCount);
 }
 
-} // namespace
-
-/**
- * Cached cross-call state of the lane-batched path. Everything up to
- * the batch plan is a pure function of (netlist content, config minus
- * symbols) — the key — and the trace only ever grows, so a key hit
- * with more symbols extends in place. The snapshot LRU is the hot-
- * state memo: per batch, the replay position + faulty flip-flop state
- * + verdict accumulators at the last stream end.
- */
-struct SeqCampaignContext::Impl
-{
-    std::mutex m; ///< guards the snapshot LRU (workers race on it)
-    std::string key;
-    std::unique_ptr<netlist::Netlist> net; ///< owns what flat refs
-    std::unique_ptr<sim::FlatNetlist> flat;
-    std::unique_ptr<sim::SeqGoodTrace> trace; ///< full kernel width
-    long builtSymbols = 0;
-    CollapseResult col;
-    std::vector<sim::SeqFaultSite> sites; ///< per unpruned class
-    std::vector<int> siteRep;             ///< site index -> rep index
-    sim::SeqBatchPlan plan;
-
-    struct Snap
-    {
-        sim::SeqFaultBatchSimulator::BatchState st;
-        std::vector<SeqVerdictAccumulator> accs;
-        std::size_t bytes = 0;
-        std::uint64_t lastUse = 0;
-    };
-    std::unordered_map<int, Snap> snaps; ///< batch index -> snapshot
-    std::size_t snapBytes = 0;
-    std::uint64_t useClock = 0;
-    long hits = 0, misses = 0;
-    static constexpr std::size_t kCapBytes = std::size_t{64} << 20;
-};
-
-SeqCampaignContext::SeqCampaignContext() : impl(new Impl) {}
-SeqCampaignContext::~SeqCampaignContext() = default;
-
-long
-SeqCampaignContext::memoHits() const
-{
-    return impl->hits;
-}
-
-long
-SeqCampaignContext::memoMisses() const
-{
-    return impl->misses;
-}
-
-namespace
-{
 
 /** Per-chunk result of the lane-batched classifier. */
 struct BatchChunkOut
 {
-    std::vector<std::pair<int, RepVerdict>> verdicts; ///< by rep index
+    std::vector<std::pair<int, RepVerdict>> verdicts; ///< by class id
     long periodsSimulated = 0;
     long periodsSkipped = 0;
     long retiredEarly = 0;
-    long hits = 0, misses = 0;
 };
 
-std::size_t
-snapshotBytes(const SeqCampaignContext::Impl::Snap &s)
+/** The batch plan of one shard: which sites share a replay. */
+struct SeqBatches
 {
-    return s.st.faultyState.size() * 8 + s.st.buf0.size() * 8 +
-           s.st.retired.size() + s.st.diverged.size() * 4 +
-           s.accs.size() * sizeof(SeqVerdictAccumulator) + 64;
-}
+    std::vector<sim::SeqFaultSite> sites; ///< per unpruned class
+    std::vector<int> siteRep;             ///< site -> class id
+    sim::SeqBatchPlan plan;
+};
 
 /**
  * Replay plan batches [begin, end). Mirrors classifySeqChunk: each
- * call owns its simulator, reads only immutable shared state (plus
- * the mutex-guarded snapshot memo, whose hits and misses produce
- * bit-identical verdicts), and folds through the same accumulator.
+ * call owns its simulator, reads only immutable shared state, and
+ * folds through the same accumulator.
  */
 BatchChunkOut
-classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
-                      const ResolvedSpec &rs, std::size_t begin,
-                      std::size_t end, const SeqCampaignOptions &opts,
-                      engine::ProgressTracker *progress, bool memo)
+classifySeqBatchChunk(const sim::SeqGoodTrace &trace,
+                      const SeqBatches &sb, const ResolvedSpec &rs,
+                      std::size_t begin, std::size_t end,
+                      const SeqCampaignOptions &opts,
+                      engine::ProgressTracker *progress)
 {
     BatchChunkOut out;
     const int Wg = rs.laneWords;
-    sim::SeqFaultBatchSimulator bsim(*cx.trace, Wg);
+    sim::SeqFaultBatchSimulator bsim(trace, Wg);
     const int F = bsim.groupsPerBatch();
 
     sim::SeqFaultBatchSimulator::FoldSpec fold;
@@ -378,33 +293,16 @@ classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
     for (std::size_t b = begin; b < end; ++b) {
         if (opts.cancel && opts.cancel->stopRequested())
             throw engine::CampaignCancelled();
-        const std::vector<int> &members = cx.plan.batches[b];
+        const std::vector<int> &members = sb.plan.batches[b];
         const int nf = static_cast<int>(members.size());
-        for (int i = 0; i < nf; ++i)
-            bs[static_cast<std::size_t>(i)] =
-                cx.sites[static_cast<std::size_t>(members[i])];
         accs.clear();
-        for (int i = 0; i < nf; ++i)
-            accs.emplace_back(rs.laneMask.data(), Wg,
-                              opts.dropDetected);
-
-        bsim.beginBatch(bs.data(), nf, opts.faultStart, opts.faultEnd);
-        bool restored = false;
-        if (memo) {
-            std::lock_guard<std::mutex> lk(cx.m);
-            const auto it = cx.snaps.find(static_cast<int>(b));
-            if (it != cx.snaps.end() &&
-                it->second.st.t <= 2 * opts.symbols) {
-                bsim.restoreState(it->second.st);
-                accs = it->second.accs;
-                it->second.lastUse = ++cx.useClock;
-                restored = true;
-            }
-            (restored ? out.hits : out.misses) += 1;
+        for (int i = 0; i < nf; ++i) {
+            bs[static_cast<std::size_t>(i)] =
+                sb.sites[static_cast<std::size_t>(members[i])];
+            accs.emplace_back(rs.laneMask.data(), Wg, opts.dropDetected);
         }
 
-        const long ps0 = bsim.periodsSimulated();
-        const long sk0 = bsim.periodsSkipped();
+        bsim.beginBatch(bs.data(), nf, opts.faultStart, opts.faultEnd);
         const auto sink = [&accs](int f, long s,
                                   const std::uint64_t *alarm,
                                   const std::uint64_t *wrong) {
@@ -412,270 +310,459 @@ classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
                                                                wrong);
         };
         bsim.run(fold, sink);
-
-        if (memo) {
-            // Snapshot before the trailing flush: the stash must be
-            // re-deliverable when the stream is extended later.
-            SeqCampaignContext::Impl::Snap snap;
-            bsim.saveState(&snap.st);
-            snap.accs = accs;
-            snap.bytes = snapshotBytes(snap);
-            std::lock_guard<std::mutex> lk(cx.m);
-            if (snap.bytes <= SeqCampaignContext::Impl::kCapBytes) {
-                const auto old = cx.snaps.find(static_cast<int>(b));
-                if (old != cx.snaps.end()) {
-                    cx.snapBytes -= old->second.bytes;
-                    cx.snaps.erase(old);
-                }
-                while (cx.snapBytes + snap.bytes >
-                           SeqCampaignContext::Impl::kCapBytes &&
-                       !cx.snaps.empty()) {
-                    auto lru = cx.snaps.begin();
-                    for (auto it = cx.snaps.begin();
-                         it != cx.snaps.end(); ++it)
-                        if (it->second.lastUse < lru->second.lastUse)
-                            lru = it;
-                    cx.snapBytes -= lru->second.bytes;
-                    cx.snaps.erase(lru);
-                }
-                snap.lastUse = ++cx.useClock;
-                cx.snapBytes += snap.bytes;
-                cx.snaps.emplace(static_cast<int>(b),
-                                 std::move(snap));
-            }
-        }
         bsim.flushPending(fold, sink);
 
-        out.periodsSimulated += bsim.periodsSimulated() - ps0;
-        out.periodsSkipped += bsim.periodsSkipped() - sk0;
+        out.periodsSimulated += bsim.periodsSimulated();
+        out.periodsSkipped += bsim.periodsSkipped();
         for (int i = 0; i < nf; ++i) {
             if (bsim.retired(i) &&
                 bs[static_cast<std::size_t>(i)].kind !=
                     sim::SeqFaultSite::Kind::Inert)
                 ++out.retiredEarly;
-        }
-
-        for (int i = 0; i < nf; ++i) {
-            const SeqVerdictAccumulator &acc =
-                accs[static_cast<std::size_t>(i)];
-            RepVerdict rv;
-            rv.outcome = acc.outcome();
-            rv.firstAlarm = acc.firstAlarmPeriod();
-            rv.firstEscape = acc.firstEscapePeriod();
-            for (int l = 0; l < opts.lanes; ++l) {
-                const long p = acc.laneFirstAlarm(l);
-                if (p >= 0) {
-                    ++rv.latHist[latencyBucket(p)];
-                    ++rv.alarmLanes;
-                    rv.latSum += static_cast<std::uint64_t>(p);
-                }
-            }
+            RepVerdict rv =
+                foldVerdict(accs[static_cast<std::size_t>(i)], opts.lanes);
             if (progress && rv.outcome == Outcome::Unsafe)
                 progress->addUnsafe(1);
             out.verdicts.emplace_back(
-                cx.siteRep[static_cast<std::size_t>(members[i])],
+                sb.siteRep[static_cast<std::size_t>(members[i])],
                 std::move(rv));
         }
         if (progress) {
-            progress->addPatterns(static_cast<std::uint64_t>(
-                bsim.periodsSimulated() - ps0));
+            progress->addPatterns(
+                static_cast<std::uint64_t>(bsim.periodsSimulated()));
             progress->addFaultsDone(static_cast<std::size_t>(nf));
         }
     }
     return out;
 }
 
-/**
- * The lane-batched campaign body: one full-width trace with the input
- * stream replicated into every lane group, faults collapsed (with the
- * sequential rules when enabled) and packed into conflict-free lane
- * batches, batches sharded by replay weight across the engine.
- */
-SeqCampaignResult
-runSeqBatchCampaign(const Netlist &net, const SeqCampaignSpec &spec,
-                    const ResolvedSpec &rs,
-                    const std::vector<std::uint8_t> &hold,
-                    const SeqCampaignOptions &opts, sim::SimdTarget simd,
-                    SeqCampaignContext *ctx)
+/** The checked stream shape of a campaign: lanes, words, kernels. */
+struct SeqStream
 {
-    const int Wg = rs.laneWords;
-    const int Wb = sim::kMaxLaneWords;
-    const int ni = net.numInputs();
-    const long total = 2 * opts.symbols;
-    const bool fullWindow =
-        opts.faultStart <= 0 && opts.faultEnd >= total;
+    int lanes = 64;
+    int laneWords = 1;
+    sim::SimdTarget simd = sim::SimdTarget::Portable;
+};
 
-    CollapseOptions colOpts;
-    colOpts.constRefine = opts.dominance;
-    colOpts.dominance = opts.dominance;
-    colOpts.seq = opts.seqDominance;
-    colOpts.seqTimeFrame = opts.seqDominance && fullWindow;
+SeqStream
+resolveSeqStream(const SeqCampaignOptions &opts)
+{
+    if (opts.lanes < 0 || opts.lanes > 512)
+        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
+    if (opts.symbols < 1)
+        throw std::invalid_argument("need at least one symbol");
+    // Resolve the packed width and kernel build once, up front, so
+    // every worker runs the same configuration.
+    SeqStream st;
+    st.simd = sim::resolveSimdTarget(opts.simd);
+    st.lanes =
+        opts.lanes == 0 ? 64 * sim::defaultLaneWords(st.simd) : opts.lanes;
+    st.laneWords = sim::laneWordsForLanes(st.lanes);
+    return st;
+}
 
-    SeqCampaignContext local;
-    SeqCampaignContext::Impl &cx = *(ctx ? ctx : &local)->impl;
-    const bool memo = ctx != nullptr;
-
-    // Everything cached under the key is symbol-count-independent;
-    // shrinking the stream invalidates the grown trace, so a shorter
-    // re-run rebuilds from scratch.
-    std::ostringstream ks;
-    ks << netlist::contentHash(net) << ";lanes=" << opts.lanes
-       << ";seed=" << opts.seed
-       << ";simd=" << sim::simdTargetName(simd)
-       << ";window=" << opts.faultStart << ":" << opts.faultEnd
-       << ";drop=" << (opts.dropDetected ? 1 : 0)
-       << ";dom=" << (opts.dominance ? 1 : 0)
-       << ";seqdom=" << (opts.seqDominance ? 1 : 0)
-       << ";seqtf=" << (colOpts.seqTimeFrame ? 1 : 0)
-       << ";phi=" << spec.phiInput << ";hold=";
-    for (const int i : spec.holdInputs)
-        ks << i << ",";
-    ks << ";data=";
-    for (const int j : rs.dataOutputs)
-        ks << j << ",";
-    ks << ";alt=";
-    for (const int j : rs.altOutputs)
-        ks << j << ",";
-    ks << ";pairs=";
-    for (const int j : rs.codePairs)
-        ks << j << ",";
-    const std::string key = ks.str();
-
-    if (cx.key != key || opts.symbols < cx.builtSymbols) {
-        cx.key = key;
-        cx.net.reset(new Netlist(net));
-        cx.flat.reset(new sim::FlatNetlist(*cx.net));
-        cx.trace.reset(
-            new sim::SeqGoodTrace(*cx.flat, spec.phiInput, Wb, simd));
-        cx.builtSymbols = 0;
-        cx.col = collapseFaults(*cx.net, colOpts);
-        cx.sites.clear();
-        cx.siteRep.clear();
-        for (std::size_t r = 0; r < cx.col.representatives.size();
-             ++r) {
-            if (!cx.col.pruned.empty() && cx.col.pruned[r])
-                continue;
-            cx.sites.push_back(sim::decodeSeqFaultSite(
-                *cx.flat, cx.col.representatives[r]));
-            cx.siteRep.push_back(static_cast<int>(r));
-        }
-        cx.plan = sim::planSeqBatches(*cx.flat, cx.sites, Wg, Wb);
-        cx.snaps.clear();
-        cx.snapBytes = 0;
-    }
-
-    // Extend the trace to the requested stream length; the per-symbol
-    // Rng draw order makes the words a prefix-stable function of the
-    // seed, so appending periods preserves every existing row.
-    if (cx.builtSymbols < opts.symbols) {
-        const auto words = buildSymbolWords(ni, spec.phiInput,
-                                            opts.symbols, opts.seed, Wg);
-        cx.trace->reservePeriods(total);
-        std::vector<std::uint64_t> inw(
-            static_cast<std::size_t>(ni) * Wb);
-        std::vector<std::uint64_t> inbarw(
-            static_cast<std::size_t>(ni) * Wb);
-        for (long s = cx.builtSymbols; s < opts.symbols; ++s) {
-            for (int i = 0; i < ni; ++i)
-                for (int w = 0; w < Wb; ++w) {
-                    const std::uint64_t v =
-                        words[static_cast<std::size_t>(s)]
-                             [static_cast<std::size_t>(i) * Wg +
-                              (w % Wg)];
-                    const std::size_t idx =
-                        static_cast<std::size_t>(i) * Wb + w;
-                    inw[idx] = v;
-                    inbarw[idx] = (i == spec.phiInput || hold[i])
-                                      ? v
-                                      : ~v;
-                }
-            cx.trace->stepPeriod(inw.data());
-            cx.trace->stepPeriod(inbarw.data());
-        }
-        cx.builtSymbols = opts.symbols;
-    }
-
-    // Alarm-free precondition at full width, lane mask replicated
-    // into every group (same contract as the narrow path).
-    ResolvedSpec rsw = rs;
-    rsw.laneWords = Wb;
-    for (int w = 0; w < Wb; ++w)
-        rsw.laneMask[static_cast<std::size_t>(w)] =
-            rs.laneMask[static_cast<std::size_t>(w % Wg)];
-    std::uint64_t alarm[sim::kMaxLaneWords];
+/**
+ * Step @p trace (trace.laneWords() words per line) through the
+ * campaign's symbol stream, the @p rs.laneWords-word stream
+ * replicated into every lane group, and check the precondition for
+ * skipping symbols a fault never touches: the fault-free machine is
+ * alarm-free on every symbol.
+ */
+void
+buildTrace(sim::SeqGoodTrace &trace, int num_inputs,
+           const SeqCampaignSpec &spec, const ResolvedSpec &rs,
+           const std::vector<std::uint8_t> &hold,
+           const SeqCampaignOptions &opts)
+{
+    const int W = rs.laneWords;
+    const int Wt = trace.laneWords();
+    const auto words = buildSymbolWords(num_inputs, spec.phiInput,
+                                        opts.symbols, opts.seed, W);
+    trace.reservePeriods(2 * opts.symbols);
+    std::vector<std::uint64_t> inw(static_cast<std::size_t>(num_inputs) *
+                                   Wt);
+    std::vector<std::uint64_t> inbarw(inw.size());
     for (long s = 0; s < opts.symbols; ++s) {
-        alarmWords(rsw, cx.trace->outputs(2 * s),
-                   cx.trace->outputs(2 * s + 1), alarm);
-        for (int w = 0; w < Wb; ++w) {
-            if (alarm[w] & rsw.laneMask[static_cast<std::size_t>(w)]) {
+        for (int i = 0; i < num_inputs; ++i)
+            for (int w = 0; w < Wt; ++w) {
+                const std::uint64_t v =
+                    words[static_cast<std::size_t>(s)]
+                         [static_cast<std::size_t>(i) * W + (w % W)];
+                const std::size_t idx = static_cast<std::size_t>(i) * Wt + w;
+                inw[idx] = v;
+                inbarw[idx] = (i == spec.phiInput ||
+                               hold[static_cast<std::size_t>(i)])
+                                  ? v
+                                  : ~v;
+            }
+        trace.stepPeriod(inw.data());
+        trace.stepPeriod(inbarw.data());
+    }
+
+    std::uint64_t alarm[sim::kMaxLaneWords], wrong[sim::kMaxLaneWords];
+    for (long s = 0; s < opts.symbols; ++s) {
+        const std::uint64_t *p0 = trace.outputs(2 * s);
+        trace.kernels().seqAlarmWrong(
+            p0, trace.outputs(2 * s + 1), p0, rs.altOutputs.data(),
+            static_cast<int>(rs.altOutputs.size()), rs.codePairs.data(),
+            static_cast<int>(rs.codePairs.size()) / 2, nullptr, 0, alarm,
+            wrong);
+        for (int w = 0; w < Wt; ++w)
+            if (alarm[w] & rs.laneMask[static_cast<std::size_t>(w % W)])
                 throw std::invalid_argument(
                     "fault-free machine raises an alarm: not an "
                     "alternating (SCAL) machine under this spec");
-            }
-        }
     }
+}
 
-    const std::vector<Fault> faults = net.allFaults();
+/**
+ * Collapse options of the pipeline. The collapsing equivalences are
+ * same-line-function equivalences (Dffs collapse nothing), so they
+ * hold per period and therefore over any sequence — the const-refined
+ * chains included, whose constant propagation treats Dff outputs as
+ * free variables. The sequential rules are skipped on a netlist that
+ * structurally looks like a verified self-dual hardened realization:
+ * the Yamamoto mux isolates every original line there, so they prune
+ * nothing (EXPERIMENTS E23) and the pass is pure cost. Time-frame
+ * equivalence needs a fault window covering the whole run.
+ */
+CollapseOptions
+seqCollapseOptions(const Netlist &net, const SeqCampaignOptions &opts)
+{
+    CollapseOptions c;
+    c.constRefine = true;
+    c.dominance = true;
+    c.seq = !netlist::looksSelfDualHardened(net);
+    c.seqTimeFrame =
+        c.seq && opts.faultStart <= 0 && opts.faultEnd >= 2 * opts.symbols;
+    return c;
+}
+
+/** A result with the fault list and stream identity filled in. */
+SeqCampaignResult
+emptyResult(const std::vector<Fault> &faults,
+            const SeqCampaignOptions &opts, const SeqStream &st)
+{
     SeqCampaignResult result;
     result.faults.resize(faults.size());
     for (std::size_t k = 0; k < faults.size(); ++k)
         result.faults[k].fault = faults[k];
     result.symbols = opts.symbols;
-    result.lanes = opts.lanes;
-    // Report the kernel build the narrow path would run at this lane
-    // width, not the full-width build — the deterministic verdict
-    // block (and the server cache key derived from it) must not move
-    // with the batching knob.
-    result.simd = sim::wideKernels(Wg, simd).target;
-    result.prunedClasses = cx.col.prunedClasses;
-    result.prunedFaults = cx.col.prunedFaults;
-    result.faultBatch = true;
-    result.classes = static_cast<int>(cx.col.representatives.size());
-    result.batchedClasses = static_cast<int>(cx.sites.size());
-    result.batches = static_cast<int>(cx.plan.batches.size());
-
-    engine::EngineOptions eopts;
-    eopts.jobs = engine::resolveJobs(opts.jobs);
-    eopts.chunksPerWorker = opts.chunksPerWorker;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(cx.col.representatives.size());
-
-    const auto chunkOuts = eng.mapWeightedChunks<BatchChunkOut>(
-        cx.plan.weights, [&](engine::Chunk chunk, std::size_t) {
-            return classifySeqBatchChunk(cx, rs, chunk.begin, chunk.end,
-                                         opts, &eng.progress(), memo);
-        });
-
-    // Pruned classes keep the default (Untestable, no alarms)
-    // verdict; batched classes overwrite theirs by rep index.
-    std::vector<RepVerdict> repVerdicts(cx.col.representatives.size());
-    for (const BatchChunkOut &o : chunkOuts) {
-        for (const auto &[rep, rv] : o.verdicts)
-            repVerdicts[static_cast<std::size_t>(rep)] = rv;
-        result.periodsSimulated += o.periodsSimulated;
-        result.periodsSkipped += o.periodsSkipped;
-        result.retiredEarly += o.retiredEarly;
-        result.memoHits += o.hits;
-        result.memoMisses += o.misses;
-    }
-    cx.hits += result.memoHits;
-    cx.misses += result.memoMisses;
-
-    std::vector<const RepVerdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = &repVerdicts[static_cast<std::size_t>(
-            cx.col.classOf[k])];
-    finalizeSeqResult(result, verdictOf);
-
-    result.stats = eng.endCampaign(
-        faults.size(),
-        static_cast<std::uint64_t>(cx.col.simulatedClasses()),
-        static_cast<std::uint64_t>(opts.symbols) *
-            static_cast<std::uint64_t>(opts.lanes));
+    result.lanes = st.lanes;
+    result.simd = sim::wideKernels(st.laneWords, st.simd).target;
     return result;
 }
+
+RepVerdict
+fromRecord(const shard_detail::SeqRecord &rec)
+{
+    RepVerdict rv;
+    rv.outcome = static_cast<Outcome>(rec.outcome);
+    rv.firstAlarm = static_cast<long>(rec.firstAlarm);
+    rv.firstEscape = static_cast<long>(rec.firstEscape);
+    rv.alarmLanes = rec.alarmLanes;
+    rv.latSum = rec.latSum;
+    rv.latHist = rec.latHist;
+    return rv;
+}
+
+/** The non-deterministic tail counters of @p p into @p r. */
+void
+fillTail(SeqCampaignResult &r, const shard_detail::SeqPayload &p)
+{
+    r.periodsSimulated = static_cast<long>(p.periodsSimulated);
+    r.periodsSkipped = static_cast<long>(p.periodsSkipped);
+    r.retiredEarly = static_cast<long>(p.retiredEarly);
+    r.classes = p.classes;
+    r.prunedClasses = p.prunedClasses;
+    r.prunedFaults = p.prunedFaults;
+    r.batchedClasses = p.batchedClasses;
+    r.batches = p.batches;
+    r.faultBatch = p.faultBatch;
+}
+
+/**
+ * One shard of the seq pipeline over the collapsed class space, a
+ * pure function of (netlist, config), so every process derives the
+ * same cost-weighted contiguous class slice. The replay step is
+ * chosen by lane width: while a fault's lane group leaves room for
+ * another in the widest kernel block (lanes <= 256), classes are
+ * packed into lane batches (sim/seq_batch_sim) and batches are the
+ * work units; above that one fault fills the block and each class is
+ * replayed alone by the single-fault kernel (measured faster there
+ * than one-group batches, EXPERIMENTS E23). Verdicts are
+ * batch-composition-independent, which licenses per-shard planning.
+ */
+class SeqSlice : public shard_detail::SliceWork
+{
+  public:
+    SeqSlice(const Netlist &net, const SeqCampaignSpec &spec,
+             const SeqCampaignOptions &opts,
+             const engine::ShardSpec &shard)
+        : net_(net), spec_(spec), opts_(opts),
+          st_(resolveSeqStream(opts)), ropts_(resolvedOptions()),
+          rs_(resolveSeqSpec(net, spec, st_.lanes, &hold_)),
+          batched_(2 * st_.laneWords <= sim::kMaxLaneWords),
+          colOpts_(seqCollapseOptions(net, opts)),
+          col_(collapseFaults(net, colOpts_)), flat_(net),
+          trace_(flat_, spec.phiInput,
+                 batched_ ? sim::kMaxLaneWords : st_.laneWords, st_.simd),
+          verdicts_(col_.representatives.size())
+    {
+        buildTrace(trace_, net.numInputs(), spec, rs_, hold_, ropts_);
+        std::vector<sim::SeqFaultSite> sites; // per unpruned class
+        std::vector<int> live;
+        for (std::size_t r = 0; r < verdicts_.size(); ++r) {
+            if (isPruned(r))
+                continue;
+            sites.push_back(
+                sim::decodeSeqFaultSite(flat_, col_.representatives[r]));
+            live.push_back(static_cast<int>(r));
+        }
+        // Each unpruned class weighs its representative's replay cost
+        // (sim::seqSiteCosts), pruned classes 1, so shards own ~equal
+        // simulation work instead of equal class counts.
+        c1_ = verdicts_.size();
+        if (shard.active()) {
+            const std::vector<std::uint64_t> costs =
+                sim::seqSiteCosts(flat_, sites);
+            std::vector<std::uint64_t> w(verdicts_.size(), 1);
+            for (std::size_t i = 0; i < live.size(); ++i)
+                w[static_cast<std::size_t>(live[i])] = costs[i];
+            const engine::Chunk slice = engine::shardSliceWeighted(w, shard);
+            c0_ = slice.begin;
+            c1_ = slice.end;
+        }
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            if (!inSlice(static_cast<std::size_t>(live[i])))
+                continue;
+            ++simulated_;
+            if (batched_) {
+                sb_.sites.push_back(sites[i]);
+                sb_.siteRep.push_back(live[i]);
+            }
+        }
+        if (batched_)
+            sb_.plan = sim::planSeqBatches(flat_, sb_.sites, st_.laneWords,
+                                           sim::kMaxLaneWords);
+        for (const int c : col_.classOf)
+            faultsInSlice_ += inSlice(static_cast<std::size_t>(c));
+    }
+
+    std::uint64_t units() const override
+    {
+        return batched_ ? sb_.plan.batches.size() : c1_ - c0_;
+    }
+    std::uint64_t classesIn(std::uint64_t u0,
+                            std::uint64_t u1) const override
+    {
+        if (!batched_)
+            return u1 - u0;
+        std::uint64_t n = 0;
+        for (std::uint64_t b = u0; b < u1; ++b)
+            n += sb_.plan.batches[b].size();
+        return n;
+    }
+    std::uint64_t faults() const override { return faultsInSlice_; }
+    std::uint64_t simulatedClasses() const override { return simulated_; }
+    std::uint64_t patterns() const override
+    {
+        return static_cast<std::uint64_t>(opts_.symbols) *
+               static_cast<std::uint64_t>(st_.lanes);
+    }
+
+    void
+    classify(engine::CampaignEngine &eng, std::uint64_t u0,
+             std::uint64_t u1) override
+    {
+        if (batched_) {
+            const std::vector<std::uint64_t> w(
+                sb_.plan.weights.begin() + static_cast<long>(u0),
+                sb_.plan.weights.begin() + static_cast<long>(u1));
+            const auto outs = eng.mapWeightedChunks<BatchChunkOut>(
+                w, [&](engine::Chunk chunk, std::size_t) {
+                    return classifySeqBatchChunk(
+                        trace_, sb_, rs_, u0 + chunk.begin,
+                        u0 + chunk.end, ropts_, &eng.progress());
+                });
+            for (const BatchChunkOut &o : outs) {
+                periodsSimulated_ += o.periodsSimulated;
+                periodsSkipped_ += o.periodsSkipped;
+                retiredEarly_ += o.retiredEarly;
+                for (const auto &[rep, rv] : o.verdicts)
+                    verdicts_[static_cast<std::size_t>(rep)] = rv;
+            }
+            return;
+        }
+        const std::size_t r0 = c0_ + u0;
+        const std::uint8_t *pruned =
+            col_.pruned.empty() ? nullptr : col_.pruned.data();
+        const auto outs = eng.mapChunks<std::vector<RepVerdict>>(
+            u1 - u0, [&](engine::Chunk chunk, std::size_t) {
+                return classifySeqChunk(trace_, rs_, col_.representatives,
+                                        r0 + chunk.begin, r0 + chunk.end,
+                                        ropts_, &eng.progress(), pruned);
+            });
+        std::size_t r = r0;
+        for (const std::vector<RepVerdict> &chunk : outs)
+            for (const RepVerdict &rv : chunk) {
+                periodsSimulated_ += rv.periodsSimulated;
+                periodsSkipped_ += rv.periodsSkipped;
+                verdicts_[r++] = rv;
+            }
+    }
+
+    engine::SnapshotHeader
+    identity() const override
+    {
+        engine::SnapshotHeader h;
+        h.kind = "seq";
+        h.netHash = netlist::contentHash(net_);
+        h.configKey = canonicalSeqCampaignConfig(opts_, spec_);
+        std::ostringstream sk;
+        sk << "seq;fb=" << (batched_ ? 1 : 0)
+           << ";seqdom=" << (colOpts_.seq ? 1 : 0)
+           << ";seqtf=" << (colOpts_.seqTimeFrame ? 1 : 0)
+           << ";lanes=" << st_.lanes;
+        h.shapeKey = sk.str();
+        return h;
+    }
+
+    std::vector<std::uint8_t>
+    encodePayload(std::uint64_t cursor) const override
+    {
+        shard_detail::SeqPayload p = tailPayload();
+        const std::vector<std::uint8_t> done = doneClasses(cursor);
+        for (std::size_t k = 0; k < col_.classOf.size(); ++k) {
+            const std::size_t c = static_cast<std::size_t>(col_.classOf[k]);
+            if (!done[c])
+                continue;
+            const RepVerdict &rv = verdicts_[c];
+            shard_detail::SeqRecord rec;
+            rec.faultIndex = static_cast<std::uint32_t>(k);
+            rec.outcome = static_cast<std::uint8_t>(rv.outcome);
+            rec.firstAlarm = rv.firstAlarm;
+            rec.firstEscape = rv.firstEscape;
+            rec.alarmLanes = rv.alarmLanes;
+            rec.latSum = rv.latSum;
+            rec.latHist = rv.latHist;
+            p.records.push_back(rec);
+        }
+        return shard_detail::encodeSeqPayload(p);
+    }
+
+    void
+    restorePayload(const std::vector<std::uint8_t> &payload,
+                   std::uint64_t cursor, const std::string &name) override
+    {
+        const shard_detail::SeqPayload p =
+            shard_detail::decodeSeqPayload(payload, name);
+        std::vector<std::uint32_t> index;
+        for (const shard_detail::SeqRecord &rec : p.records)
+            index.push_back(rec.faultIndex);
+        shard_detail::checkResumedCoverage(index, col_.classOf,
+                                           doneClasses(cursor), name);
+        for (const shard_detail::SeqRecord &rec : p.records)
+            verdicts_[static_cast<std::size_t>(
+                col_.classOf[rec.faultIndex])] = fromRecord(rec);
+        periodsSimulated_ = static_cast<long>(p.periodsSimulated);
+        periodsSkipped_ = static_cast<long>(p.periodsSkipped);
+        retiredEarly_ = static_cast<long>(p.retiredEarly);
+    }
+
+    /** The inline run's merge: class verdicts over allFaults(). */
+    SeqCampaignResult
+    result() const
+    {
+        const std::vector<Fault> faults = net_.allFaults();
+        SeqCampaignResult r = emptyResult(faults, opts_, st_);
+        std::vector<const RepVerdict *> verdictOf(faults.size());
+        for (std::size_t k = 0; k < faults.size(); ++k)
+            verdictOf[k] =
+                &verdicts_[static_cast<std::size_t>(col_.classOf[k])];
+        finalizeSeqResult(r, verdictOf);
+        fillTail(r, tailPayload());
+        return r;
+    }
+
+  private:
+    SeqCampaignOptions
+    resolvedOptions() const
+    {
+        SeqCampaignOptions o = opts_;
+        o.lanes = st_.lanes;
+        return o;
+    }
+
+    bool isPruned(std::size_t r) const
+    {
+        return !col_.pruned.empty() && col_.pruned[r];
+    }
+    bool inSlice(std::size_t r) const { return r >= c0_ && r < c1_; }
+
+    /** Classes settled by units [0, cursor): the slice's pruned
+     *  classes plus the batches so far (batched route), or the first
+     *  cursor classes of the slice. */
+    std::vector<std::uint8_t>
+    doneClasses(std::uint64_t cursor) const
+    {
+        std::vector<std::uint8_t> done(verdicts_.size(), 0);
+        if (!batched_) {
+            for (std::size_t r = c0_; r < c0_ + cursor; ++r)
+                done[r] = 1;
+            return done;
+        }
+        for (std::size_t r = c0_; r < c1_; ++r)
+            done[r] = isPruned(r);
+        for (std::uint64_t b = 0; b < cursor; ++b)
+            for (const int m : sb_.plan.batches[b])
+                done[static_cast<std::size_t>(
+                    sb_.siteRep[static_cast<std::size_t>(m)])] = 1;
+        return done;
+    }
+
+    shard_detail::SeqPayload
+    tailPayload() const
+    {
+        shard_detail::SeqPayload p;
+        p.symbols = opts_.symbols;
+        p.lanes = st_.lanes;
+        p.simd = sim::simdTargetName(
+            sim::wideKernels(st_.laneWords, st_.simd).target);
+        p.periodsSimulated = periodsSimulated_;
+        p.periodsSkipped = periodsSkipped_;
+        p.retiredEarly = retiredEarly_;
+        p.classes = static_cast<int>(col_.representatives.size());
+        p.prunedClasses = col_.prunedClasses;
+        p.prunedFaults = col_.prunedFaults;
+        p.batchedClasses = static_cast<int>(sb_.sites.size());
+        p.batches = static_cast<int>(sb_.plan.batches.size());
+        p.faultBatch = batched_;
+        return p;
+    }
+
+    const Netlist &net_;
+    const SeqCampaignSpec &spec_;
+    const SeqCampaignOptions &opts_;
+    const SeqStream st_;
+    const SeqCampaignOptions ropts_; ///< opts_ with lanes resolved
+    std::vector<std::uint8_t> hold_;
+    const ResolvedSpec rs_;
+    const bool batched_;
+    const CollapseOptions colOpts_;
+    const CollapseResult col_;
+    const sim::FlatNetlist flat_;
+    sim::SeqGoodTrace trace_;
+    std::size_t c0_ = 0, c1_ = 0;
+    SeqBatches sb_;
+    std::uint64_t simulated_ = 0;
+    std::uint64_t faultsInSlice_ = 0;
+    /** Per class id; valid for the classes classified so far. */
+    std::vector<RepVerdict> verdicts_;
+    long periodsSimulated_ = 0;
+    long periodsSkipped_ = 0;
+    long retiredEarly_ = 0;
+};
 
 } // namespace
 
@@ -699,170 +786,14 @@ buildSymbolWords(int num_inputs, int phi_input, long symbols,
 
 SeqCampaignResult
 runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
-                      const SeqCampaignOptions &opts,
-                      SeqCampaignContext *ctx)
+                      const SeqCampaignOptions &opts)
 {
-    if (opts.lanes < 0 || opts.lanes > 512)
-        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
-    if (opts.symbols < 1)
-        throw std::invalid_argument("need at least one symbol");
-
-    // Resolve the packed width and kernel build once, up front, so
-    // every worker runs the same configuration.
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = opts.lanes == 0
-                          ? 64 * sim::defaultLaneWords(simd)
-                          : opts.lanes;
-    const int W = sim::laneWordsForLanes(lanes);
-    SeqCampaignOptions ropts = opts;
-    ropts.lanes = lanes;
-    ropts.seqDominance = effectiveSeqDominance(net, opts);
-
-    const int ni = net.numInputs();
-    const sim::FlatNetlist flat(net);
-
-    std::vector<std::uint8_t> hold;
-    const ResolvedSpec rs = resolveSeqSpec(net, spec, lanes, &hold);
-
-    // Lane-multiplexed path: when the requested width leaves groups
-    // free in the widest kernel block, carry several faults per
-    // replay. At 512 lanes one fault already fills the block, so the
-    // per-fault path below is the batch path.
-    if (opts.faultBatch && W < sim::kMaxLaneWords)
-        return runSeqBatchCampaign(net, spec, rs, hold, ropts, simd,
-                                   ctx);
-
-    // Serial pre-pass: the per-symbol input words and the fault-free
-    // trace, built exactly once and shared read-only by all workers.
-    const auto words = buildSymbolWords(ni, spec.phiInput, opts.symbols,
-                                        opts.seed, W);
-    sim::SeqGoodTrace trace(flat, spec.phiInput, W, simd);
-    trace.reservePeriods(2 * opts.symbols);
-    std::vector<std::uint64_t> inbar(static_cast<std::size_t>(ni) * W);
-    for (long s = 0; s < opts.symbols; ++s) {
-        trace.stepPeriod(words[s].data());
-        for (int i = 0; i < ni; ++i)
-            for (int w = 0; w < W; ++w) {
-                const std::size_t idx =
-                    static_cast<std::size_t>(i) * W + w;
-                inbar[idx] = (i == spec.phiInput || hold[i])
-                                 ? words[s][idx]
-                                 : ~words[s][idx];
-            }
-        trace.stepPeriod(inbar.data());
-    }
-
-    // Precondition for skipping symbols the fault never touches: the
-    // fault-free machine must be alarm-free on every symbol.
-    std::uint64_t alarm[sim::kMaxLaneWords];
-    for (long s = 0; s < opts.symbols; ++s) {
-        alarmWords(rs, trace.outputs(2 * s), trace.outputs(2 * s + 1),
-                   alarm);
-        for (int w = 0; w < W; ++w) {
-            if (alarm[w] & rs.laneMask[static_cast<std::size_t>(w)]) {
-                throw std::invalid_argument(
-                    "fault-free machine raises an alarm: not an "
-                    "alternating (SCAL) machine under this spec");
-            }
-        }
-    }
-
-    const std::vector<Fault> faults = net.allFaults();
-    SeqCampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-    result.symbols = opts.symbols;
-    result.lanes = lanes;
-    result.simd = trace.simdTarget();
-
-    const std::uint64_t lane_symbols =
-        static_cast<std::uint64_t>(opts.symbols) *
-        static_cast<std::uint64_t>(lanes);
-
-    const int jobs = engine::resolveJobs(opts.jobs);
-    if (jobs <= 1) {
-        // Serial reference path: every fault simulated individually.
-        engine::ProgressTracker progress;
-        progress.start(faults.size());
-        if (opts.progressInterval.count() > 0)
-            progress.startReporter(opts.progressInterval,
-                                   opts.progressCallback);
-        const std::vector<RepVerdict> verdicts = classifySeqChunk(
-            trace, rs, faults, 0, faults.size(), ropts, &progress);
-        progress.stopReporter();
-        std::vector<const RepVerdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k) {
-            verdictOf[k] = &verdicts[k];
-            result.periodsSimulated += verdicts[k].periodsSimulated;
-            result.periodsSkipped += verdicts[k].periodsSkipped;
-        }
-        finalizeSeqResult(result, verdictOf);
-        const auto s = progress.snapshot();
-        result.stats.jobs = 1;
-        result.stats.totalFaults = faults.size();
-        result.stats.simulatedFaults = faults.size();
-        result.stats.patternsApplied = lane_symbols;
-        result.stats.collapseRatio = 1.0;
-        result.stats.elapsedSeconds = s.elapsedSeconds;
-        result.stats.faultsPerSecond = s.faultsPerSecond();
-        result.stats.patternsPerSecond = s.patternsPerSecond();
-        return result;
-    }
-
-    // Parallel path: collapse, shard the representatives, merge in
-    // chunk order, expand class verdicts over allFaults() order. The
-    // collapsing equivalences are all same-line-function equivalences
-    // (Dffs collapse nothing), so they hold per period and therefore
-    // over any sequence — including the const-refined chains, whose
-    // constant propagation treats Dff outputs as free variables.
-    CollapseOptions colOpts;
-    colOpts.constRefine = opts.dominance;
-    colOpts.dominance = opts.dominance;
-    colOpts.seq = ropts.seqDominance;
-    colOpts.seqTimeFrame = ropts.seqDominance && opts.faultStart <= 0 &&
-                           opts.faultEnd >= 2 * opts.symbols;
-    const CollapseResult col = collapseFaults(net, colOpts);
-    result.classes = static_cast<int>(col.representatives.size());
-    result.prunedClasses = col.prunedClasses;
-    result.prunedFaults = col.prunedFaults;
-    const std::uint8_t *pruned =
-        col.pruned.empty() ? nullptr : col.pruned.data();
-
-    engine::EngineOptions eopts;
-    eopts.jobs = jobs;
-    eopts.chunksPerWorker = opts.chunksPerWorker;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(col.representatives.size());
-
-    auto chunkVerdicts = eng.mapChunks<std::vector<RepVerdict>>(
-        col.representatives.size(),
-        [&](engine::Chunk chunk, std::size_t) {
-            return classifySeqChunk(trace, rs, col.representatives,
-                                    chunk.begin, chunk.end, ropts,
-                                    &eng.progress(), pruned);
-        });
-
-    std::vector<const RepVerdict *> repVerdict;
-    repVerdict.reserve(col.representatives.size());
-    for (const auto &chunk : chunkVerdicts) {
-        for (const RepVerdict &v : chunk) {
-            repVerdict.push_back(&v);
-            result.periodsSimulated += v.periodsSimulated;
-            result.periodsSkipped += v.periodsSkipped;
-        }
-    }
-    std::vector<const RepVerdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = repVerdict[col.classOf[k]];
-    finalizeSeqResult(result, verdictOf);
-
-    result.stats = eng.endCampaign(
-        faults.size(),
-        static_cast<std::uint64_t>(col.simulatedClasses()),
-        lane_symbols);
+    SeqSlice work(net, spec, opts, {});
+    const ShardOutcome out = shard_detail::runSlices(
+        work, {}, {}, /*publish=*/false, shard_detail::engineOptions(opts),
+        opts.cancel);
+    SeqCampaignResult result = work.result();
+    result.stats = out.stats;
     return result;
 }
 
@@ -873,424 +804,111 @@ runSequentialCampaignShard(const Netlist &net,
                            const engine::ShardSpec &shard,
                            const CheckpointOptions &ckpt)
 {
-    if (opts.lanes < 0 || opts.lanes > 512)
-        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
-    if (opts.symbols < 1)
-        throw std::invalid_argument("need at least one symbol");
+    SeqSlice work(net, spec, opts, shard);
+    return shard_detail::runSlices(work, shard, ckpt, /*publish=*/true,
+                                   shard_detail::engineOptions(opts),
+                                   opts.cancel);
+}
 
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = opts.lanes == 0
-                          ? 64 * sim::defaultLaneWords(simd)
-                          : opts.lanes;
-    const int W = sim::laneWordsForLanes(lanes);
-    SeqCampaignOptions ropts = opts;
-    ropts.lanes = lanes;
-    ropts.seqDominance = effectiveSeqDominance(net, opts);
-
-    const int ni = net.numInputs();
-    std::vector<std::uint8_t> hold;
-    const ResolvedSpec rs = resolveSeqSpec(net, spec, lanes, &hold);
-
-    // The shard universe is the collapsed class space under the
-    // effective knobs — a pure function of (netlist, config), so every
-    // process derives the same contiguous split. Both sub-paths below
-    // re-pack only their slice; verdicts are batch-composition-
-    // independent (the PR 8 equivalence contract), which is what
-    // licenses per-shard re-planning.
-    const long total = 2 * opts.symbols;
-    const bool fullWindow =
-        opts.faultStart <= 0 && opts.faultEnd >= total;
-    CollapseOptions colOpts;
-    colOpts.constRefine = ropts.dominance;
-    colOpts.dominance = ropts.dominance;
-    colOpts.seq = ropts.seqDominance;
-    colOpts.seqTimeFrame = ropts.seqDominance && fullWindow;
-    const CollapseResult col = collapseFaults(net, colOpts);
-    const std::size_t numClasses = col.representatives.size();
-
-    // The class slice is cost-weighted — computed below once the
-    // path's FlatNetlist exists.
-    std::size_t c0 = 0;
-    std::size_t c1 = numClasses;
-
-    const bool batchPath = opts.faultBatch && W < sim::kMaxLaneWords;
-
-    const std::uint64_t net_hash = netlist::contentHash(net);
-    const std::string config_key = canonicalSeqCampaignConfig(opts, spec);
-    std::ostringstream sk;
-    sk << "seq;fb=" << (batchPath ? 1 : 0)
-       << ";dom=" << (ropts.dominance ? 1 : 0)
-       << ";seqdom=" << (ropts.seqDominance ? 1 : 0)
-       << ";seqtf=" << (colOpts.seqTimeFrame ? 1 : 0)
-       << ";lanes=" << lanes;
-    const std::string shape_key = sk.str();
+SeqCampaignResult
+mergeSeqCampaignPartials(const netlist::Netlist &net,
+                         const std::vector<std::vector<std::uint8_t>> &partials,
+                         const std::vector<std::string> &names)
+{
+    using shard_detail::partialName;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    shard_detail::validatePartials("seq", netlist::contentHash(net),
+                                   partials, names, &payloads);
 
     const std::vector<Fault> faults = net.allFaults();
-    std::vector<std::vector<std::uint32_t>> classFaults(numClasses);
+    SeqCampaignResult result;
+    result.faults.resize(faults.size());
     for (std::size_t k = 0; k < faults.size(); ++k)
-        classFaults[static_cast<std::size_t>(col.classOf[k])].push_back(
-            static_cast<std::uint32_t>(k));
+        result.faults[k].fault = faults[k];
 
-    ShardOutcome out;
-
-    // Cost-weighted class slicing: each unpruned class weighs its
-    // representative's replay-cost estimate (sim::seqSiteCosts),
-    // pruned classes only their records, so shards own ~equal
-    // simulation work instead of equal class counts — equal counts
-    // leave the fleet's critical path hostage to wherever the big
-    // replay cones cluster. A pure function of (netlist, effective
-    // knobs): every process derives the identical split.
-    const auto applySlice = [&](const sim::FlatNetlist &f) {
-        std::vector<sim::SeqFaultSite> sites;
-        std::vector<std::size_t> live;
-        sites.reserve(numClasses);
-        live.reserve(numClasses);
-        for (std::size_t r = 0; r < numClasses; ++r) {
-            if (!col.pruned.empty() && col.pruned[r])
-                continue;
-            sites.push_back(
-                sim::decodeSeqFaultSite(f, col.representatives[r]));
-            live.push_back(r);
+    // Per-fault verdicts by global index, folded below in fault order
+    // with the inline run's fold, so the histogram / mean double
+    // division come out bit-identical.
+    std::vector<RepVerdict> verdicts(faults.size());
+    std::vector<std::uint8_t> covered(faults.size(), 0);
+    shard_detail::SeqPayload tail; // globals take-first, work summed
+    for (std::size_t i = 0; i < partials.size(); ++i) {
+        const std::string name = partialName(names, i);
+        const shard_detail::SeqPayload p =
+            shard_detail::decodeSeqPayload(payloads[i], name);
+        if (i == 0) {
+            result.symbols = p.symbols;
+            result.lanes = p.lanes;
+            result.simd = shard_detail::parseSimdName(p.simd, name);
+            tail.classes = p.classes;
+            tail.prunedClasses = p.prunedClasses;
+            tail.prunedFaults = p.prunedFaults;
+            tail.faultBatch = p.faultBatch;
+        } else if (p.symbols != result.symbols || p.lanes != result.lanes) {
+            throw engine::SnapshotError(
+                name + ": symbol/lane header disagrees with " +
+                partialName(names, 0));
         }
-        const std::vector<std::uint64_t> costs =
-            sim::seqSiteCosts(f, sites);
-        std::vector<std::uint64_t> w(numClasses, 1);
-        for (std::size_t i = 0; i < live.size(); ++i)
-            w[live[i]] = costs[i];
-        const engine::Chunk slice = engine::shardSliceWeighted(w, shard);
-        c0 = slice.begin;
-        c1 = slice.end;
-    };
-
-    // Shard-local context for the lane-batched route: the full-width
-    // trace plus a batch plan over only this shard's unpruned classes.
-    SeqCampaignContext local;
-    SeqCampaignContext::Impl &cx = *local.impl;
-    const int Wb = sim::kMaxLaneWords;
-    std::unique_ptr<sim::FlatNetlist> flat;
-    std::unique_ptr<sim::SeqGoodTrace> narrowTrace;
-    if (batchPath) {
-        cx.net.reset(new Netlist(net));
-        cx.flat.reset(new sim::FlatNetlist(*cx.net));
-        cx.trace.reset(
-            new sim::SeqGoodTrace(*cx.flat, spec.phiInput, Wb, simd));
-        applySlice(*cx.flat);
-        for (std::size_t r = c0; r < c1; ++r) {
-            if (!col.pruned.empty() && col.pruned[r])
-                continue;
-            cx.sites.push_back(sim::decodeSeqFaultSite(
-                *cx.flat, col.representatives[r]));
-            cx.siteRep.push_back(static_cast<int>(r));
-        }
-        cx.plan = sim::planSeqBatches(*cx.flat, cx.sites, W, Wb);
-        out.units = cx.plan.batches.size();
-    } else {
-        flat.reset(new sim::FlatNetlist(net));
-        narrowTrace.reset(
-            new sim::SeqGoodTrace(*flat, spec.phiInput, W, simd));
-        applySlice(*flat);
-        out.units = c1 - c0;
-    }
-    out.shardClasses = static_cast<int>(c1 - c0);
-
-    // every < 0 = auto cadence: ~16 snapshots across this shard with
-    // a 64-class floor (snapshots are self-contained, so a fixed fine
-    // cadence on a big universe pays O(snapshots x records) bytes).
-    const int every =
-        ckpt.every >= 0
-            ? ckpt.every
-            : static_cast<int>(std::max<std::uint64_t>(
-                  64, static_cast<std::uint64_t>(c1 - c0) / 16));
-
-    // Build the fault-free trace (full width replicates every lane
-    // group, same loop as the inline batch path) and check the
-    // alarm-free precondition on this spec.
-    {
-        sim::SeqGoodTrace &trace = batchPath ? *cx.trace : *narrowTrace;
-        const int Wt = batchPath ? Wb : W;
-        const auto words = buildSymbolWords(ni, spec.phiInput,
-                                            opts.symbols, opts.seed, W);
-        trace.reservePeriods(total);
-        std::vector<std::uint64_t> inw(
-            static_cast<std::size_t>(ni) * Wt);
-        std::vector<std::uint64_t> inbarw(
-            static_cast<std::size_t>(ni) * Wt);
-        for (long s = 0; s < opts.symbols; ++s) {
-            for (int i = 0; i < ni; ++i)
-                for (int w = 0; w < Wt; ++w) {
-                    const std::uint64_t v =
-                        words[static_cast<std::size_t>(s)]
-                             [static_cast<std::size_t>(i) * W + (w % W)];
-                    const std::size_t idx =
-                        static_cast<std::size_t>(i) * Wt + w;
-                    inw[idx] = v;
-                    inbarw[idx] = (i == spec.phiInput ||
-                                   hold[static_cast<std::size_t>(i)])
-                                      ? v
-                                      : ~v;
-                }
-            trace.stepPeriod(inw.data());
-            trace.stepPeriod(inbarw.data());
-        }
-
-        ResolvedSpec rst = rs;
-        rst.laneWords = Wt;
-        for (int w = 0; w < Wt; ++w)
-            rst.laneMask[static_cast<std::size_t>(w)] =
-                rs.laneMask[static_cast<std::size_t>(w % W)];
-        std::uint64_t alarm[sim::kMaxLaneWords];
-        for (long s = 0; s < opts.symbols; ++s) {
-            alarmWords(rst, trace.outputs(2 * s),
-                       trace.outputs(2 * s + 1), alarm);
-            for (int w = 0; w < Wt; ++w) {
-                if (alarm[w] &
-                    rst.laneMask[static_cast<std::size_t>(w)]) {
-                    throw std::invalid_argument(
-                        "fault-free machine raises an alarm: not an "
-                        "alternating (SCAL) machine under this spec");
-                }
-            }
+        tail.periodsSimulated += p.periodsSimulated;
+        tail.periodsSkipped += p.periodsSkipped;
+        tail.retiredEarly += p.retiredEarly;
+        tail.batchedClasses += p.batchedClasses;
+        tail.batches += p.batches;
+        for (const shard_detail::SeqRecord &rec : p.records) {
+            shard_detail::coverFault(covered, rec.faultIndex, name);
+            verdicts[rec.faultIndex] = fromRecord(rec);
         }
     }
+    shard_detail::checkAllCovered(covered);
 
-    std::vector<shard_detail::SeqRecord> records;
-    shard_detail::SeqPayload tail; // running non-deterministic counters
-    std::uint64_t cursor = 0;
+    std::vector<const RepVerdict *> verdictOf(faults.size());
+    for (std::size_t k = 0; k < faults.size(); ++k)
+        verdictOf[k] = &verdicts[k];
+    finalizeSeqResult(result, verdictOf);
+    fillTail(result, tail);
+    result.stats = shard_detail::mergedStats(
+        faults.size(),
+        static_cast<std::uint64_t>(tail.classes - tail.prunedClasses),
+        static_cast<std::uint64_t>(result.symbols) *
+            static_cast<std::uint64_t>(result.lanes));
+    return result;
+}
 
-    auto appendRep = [&](std::size_t rep, const RepVerdict &rv) {
-        for (const std::uint32_t k : classFaults[rep]) {
-            shard_detail::SeqRecord rec;
-            rec.faultIndex = k;
-            rec.outcome = static_cast<std::uint8_t>(rv.outcome);
-            rec.firstAlarm = rv.firstAlarm;
-            rec.firstEscape = rv.firstEscape;
-            rec.alarmLanes = rv.alarmLanes;
-            rec.latSum = rv.latSum;
-            rec.latHist = rv.latHist;
-            records.push_back(std::move(rec));
-        }
-    };
+SeqCampaignResult
+referenceSequentialCampaign(const Netlist &net,
+                            const SeqCampaignSpec &spec,
+                            const SeqCampaignOptions &opts)
+{
+    const SeqStream st = resolveSeqStream(opts);
+    SeqCampaignOptions ropts = opts;
+    ropts.lanes = st.lanes;
+    std::vector<std::uint8_t> hold;
+    const ResolvedSpec rs = resolveSeqSpec(net, spec, st.lanes, &hold);
+    const sim::FlatNetlist flat(net);
+    sim::SeqGoodTrace trace(flat, spec.phiInput, st.laneWords, st.simd);
+    buildTrace(trace, net.numInputs(), spec, rs, hold, ropts);
 
-    if (ckpt.resume) {
-        std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "seq")
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": not a seq campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different circuit");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.shapeKey != shape_key || h.units != out.units)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": work-shape mismatch; rerun without --resume");
-        if (!(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": snapshot is shard " + h.shard.str() +
-                ", not " + shard.str());
-        shard_detail::SeqPayload p =
-            shard_detail::decodeSeqPayload(payload, ckpt.resumeName);
-        records = std::move(p.records);
-        p.records.clear();
-        tail = std::move(p);
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
-    } else if (batchPath) {
-        // Pruned classes never enter the batch plan; their exact
-        // default verdict (Untestable, no alarms) is recorded up
-        // front, so it is part of every snapshot.
-        for (std::size_t r = c0; r < c1; ++r)
-            if (!col.pruned.empty() && col.pruned[r])
-                appendRep(r, RepVerdict{});
+    const std::vector<Fault> faults = net.allFaults();
+    engine::EngineOptions eopts = shard_detail::engineOptions(opts);
+    eopts.jobs = 1;
+    engine::CampaignEngine eng(eopts);
+    eng.beginCampaign(faults.size());
+    const std::vector<RepVerdict> verdicts = classifySeqChunk(
+        trace, rs, faults, 0, faults.size(), ropts, &eng.progress());
+
+    SeqCampaignResult result = emptyResult(faults, opts, st);
+    std::vector<const RepVerdict *> verdictOf(faults.size());
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+        verdictOf[k] = &verdicts[k];
+        result.periodsSimulated += verdicts[k].periodsSimulated;
+        result.periodsSkipped += verdicts[k].periodsSkipped;
     }
-
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        shard_detail::SeqPayload p = tail;
-        p.symbols = opts.symbols;
-        p.lanes = lanes;
-        p.simd = sim::simdTargetName(
-            batchPath ? sim::wideKernels(W, simd).target
-                      : narrowTrace->simdTarget());
-        p.classes = static_cast<int>(numClasses);
-        p.prunedClasses = col.prunedClasses;
-        p.prunedFaults = col.prunedFaults;
-        p.batchedClasses =
-            batchPath ? static_cast<int>(cx.sites.size()) : 0;
-        p.batches =
-            batchPath ? static_cast<int>(cx.plan.batches.size()) : 0;
-        p.faultBatch = batchPath;
-        p.records = records;
-        engine::SnapshotHeader h;
-        h.kind = "seq";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(h,
-                                      shard_detail::encodeSeqPayload(p));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
-
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    engine::ProgressTracker serialProgress;
-    engine::ProgressTracker *progress = nullptr;
-    if (jobs > 1) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.chunksPerWorker = opts.chunksPerWorker;
-        eopts.progressInterval = opts.progressInterval;
-        eopts.progressCallback = opts.progressCallback;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-        progress = &eng->progress();
-    } else {
-        serialProgress.start(static_cast<std::uint64_t>(out.shardClasses));
-        if (opts.progressInterval.count() > 0)
-            serialProgress.startReporter(opts.progressInterval,
-                                         opts.progressCallback);
-        progress = &serialProgress;
-    }
-
-    const std::uint8_t *pruned =
-        col.pruned.empty() ? nullptr : col.pruned.data();
-    while (cursor < out.units) {
-        if (batchPath) {
-            // Block = whole batches covering >= `every` classes.
-            const std::size_t b0 = cursor;
-            std::size_t b1 = b0;
-            std::size_t block_classes = 0;
-            do {
-                block_classes += cx.plan.batches[b1].size();
-                ++b1;
-            } while (b1 < out.units &&
-                     (every <= 0 ||
-                      block_classes <
-                          static_cast<std::size_t>(every)));
-
-            std::vector<BatchChunkOut> chunkOuts;
-            try {
-                if (eng) {
-                    const std::vector<std::uint64_t> wslice(
-                        cx.plan.weights.begin() + b0,
-                        cx.plan.weights.begin() + b1);
-                    chunkOuts = eng->mapWeightedChunks<BatchChunkOut>(
-                        wslice, [&](engine::Chunk chunk, std::size_t) {
-                            return classifySeqBatchChunk(
-                                cx, rs, b0 + chunk.begin,
-                                b0 + chunk.end, ropts, progress,
-                                false);
-                        });
-                } else {
-                    chunkOuts.push_back(classifySeqBatchChunk(
-                        cx, rs, b0, b1, ropts, progress, false));
-                }
-            } catch (const engine::CampaignCancelled &) {
-                if (ckpt.sink)
-                    ckpt.sink(buildSnapshot(cursor, false), false);
-                throw;
-            }
-            for (const BatchChunkOut &o : chunkOuts) {
-                tail.periodsSimulated += o.periodsSimulated;
-                tail.periodsSkipped += o.periodsSkipped;
-                tail.retiredEarly += o.retiredEarly;
-                for (const auto &[rep, rv] : o.verdicts)
-                    appendRep(static_cast<std::size_t>(rep), rv);
-            }
-            cursor = b1;
-        } else {
-            // Block = a contiguous slice of representative classes.
-            const std::size_t r0 = c0 + cursor;
-            const std::size_t r1 =
-                every > 0
-                    ? std::min(c1, r0 + static_cast<std::size_t>(
-                                            every))
-                    : c1;
-
-            std::vector<std::vector<RepVerdict>> chunkOuts;
-            try {
-                if (eng) {
-                    chunkOuts =
-                        eng->mapChunks<std::vector<RepVerdict>>(
-                            r1 - r0,
-                            [&](engine::Chunk chunk, std::size_t) {
-                                return classifySeqChunk(
-                                    *narrowTrace, rs,
-                                    col.representatives,
-                                    r0 + chunk.begin, r0 + chunk.end,
-                                    ropts, progress, pruned);
-                            });
-                } else {
-                    chunkOuts.push_back(classifySeqChunk(
-                        *narrowTrace, rs, col.representatives, r0, r1,
-                        ropts, progress, pruned));
-                }
-            } catch (const engine::CampaignCancelled &) {
-                if (ckpt.sink)
-                    ckpt.sink(buildSnapshot(cursor, false), false);
-                throw;
-            }
-            std::size_t r = r0;
-            for (const std::vector<RepVerdict> &chunk : chunkOuts) {
-                for (const RepVerdict &rv : chunk) {
-                    tail.periodsSimulated += rv.periodsSimulated;
-                    tail.periodsSkipped += rv.periodsSkipped;
-                    appendRep(r++, rv);
-                }
-            }
-            cursor = r1 - c0;
-        }
-
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true); // empty trailing shard still publishes a partial
-
-    out.shardFaults = static_cast<int>(records.size());
-    const std::uint64_t lane_symbols =
+    finalizeSeqResult(result, verdictOf);
+    result.stats = eng.endCampaign(
+        faults.size(), faults.size(),
         static_cast<std::uint64_t>(opts.symbols) *
-        static_cast<std::uint64_t>(lanes);
-    if (eng) {
-        out.stats = eng->endCampaign(
-            static_cast<std::uint64_t>(out.shardFaults),
-            static_cast<std::uint64_t>(out.shardClasses), lane_symbols);
-    } else {
-        serialProgress.stopReporter();
-        const auto s = serialProgress.snapshot();
-        out.stats.jobs = 1;
-        out.stats.totalFaults =
-            static_cast<std::uint64_t>(out.shardFaults);
-        out.stats.simulatedFaults =
-            static_cast<std::uint64_t>(out.shardClasses);
-        out.stats.patternsApplied = lane_symbols;
-        out.stats.elapsedSeconds = s.elapsedSeconds;
-        out.stats.faultsPerSecond = s.faultsPerSecond();
-        out.stats.patternsPerSecond = s.patternsPerSecond();
-    }
-    return out;
+            static_cast<std::uint64_t>(st.lanes));
+    return result;
 }
 
 } // namespace scal::fault

@@ -7,12 +7,17 @@
  * the self-checking definitions — did a wrong data word ever escape
  * without a prior or simultaneous alarm on the checked lines?
  *
- * Campaigns route through the parallel engine exactly like the
- * combinational ones: fault collapsing, contiguous sharding,
- * chunk-ordered merge — the same (netlist, spec, options) triple
- * yields a bit-identical SeqCampaignResult at any jobs count
- * (tests/test_seq_fault_sim_equiv.cc asserts this and the scalar
- * SeqSimulator oracle equality).
+ * Campaigns run the same plan -> classify(slice) -> merge pipeline
+ * as the combinational ones (fault/shard.hh): fault collapsing,
+ * cost-weighted contiguous slices, chunk-ordered merge — the same
+ * (netlist, spec, options) triple yields a bit-identical
+ * SeqCampaignResult at any jobs count and any shard split. Up to 256
+ * lanes several faults share one wide replay in disjoint lane groups
+ * (sim/seq_batch_sim); above that each fault is replayed alone.
+ * referenceSequentialCampaign keeps the uncollapsed per-fault loop as
+ * the oracle (tests/test_seq_fault_sim_equiv.cc and
+ * tests/test_seq_fault_parallel_equiv.cc assert equality with it and
+ * with the scalar SeqSimulator).
  *
  * On top of the verdicts the campaign reports detection latency: for
  * every (fault, lane) the period of the first non-code symptom,
@@ -27,7 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "engine/cancel.hh"
@@ -93,49 +97,9 @@ struct SeqCampaignOptions
      */
     bool dropDetected = true;
     /**
-     * Const-refined equivalence collapsing plus structural dominance
-     * pruning on the parallel path: classes whose faults are forced
-     * Untestable (constant or unobservable line) skip simulation
-     * outright. Purely a work saving — a pruned fault's machine is
-     * trace-identical to the fault-free one, which the campaign has
-     * already verified alarm-free, so verdicts are bit-identical
-     * either way.
+     * Worker threads: 0 = hardware_concurrency. 1 runs the same
+     * pipeline as one chunk on the calling thread (no pool).
      */
-    bool dominance = true;
-    /**
-     * Lane-multiplexed fault batching (sim/seq_batch_sim): pack
-     * several faults into disjoint lane groups of one wide replay so
-     * a single pass over the netlist advances a whole batch. Purely a
-     * work saving — each fault's lane group evolves bit-identically
-     * to its own narrow replay (the sim/wide.hh per-word layout
-     * guarantee), so verdicts, first-alarm periods and latency
-     * histograms are unchanged. Takes effect at any jobs count; a
-     * no-op when the lane width already fills the widest kernel
-     * block (lanes == 512).
-     */
-    bool faultBatch = true;
-    /**
-     * Sequential extensions to collapsing (CollapseOptions::seq and,
-     * when the fault window spans the whole run, seqTimeFrame):
-     * constant propagation through flip-flop boundaries plus the
-     * D-pin/output-stem time-frame equivalence. Exact like the
-     * combinational rules, so verdicts are bit-identical either way;
-     * only the class/pruned counts in the non-deterministic tail
-     * move. Ignored on the serial reference path (jobs == 1 with
-     * faultBatch off), which never collapses.
-     */
-    bool seqDominance = true;
-    /**
-     * Run the sequential dominance rules even on a netlist that
-     * structurally looks like a verified self-dual hardened
-     * realization. By default the campaign skips them there (the
-     * Yamamoto mux isolates every original line, so the rules prune
-     * zero classes — measured in EXPERIMENTS E23 — and the analysis
-     * pass is pure cost); `--seq-dominance` on the CLI sets this.
-     * Verdict-neutral either way.
-     */
-    bool seqDominanceForce = false;
-    /** 0 = hardware_concurrency, 1 = serial (no collapsing). */
     int jobs = 0;
     int chunksPerWorker = 4;
     std::chrono::milliseconds progressInterval{0};
@@ -192,28 +156,26 @@ struct SeqCampaignResult
     /** Mean first-alarm period over those, in periods. */
     double meanAlarmPeriod = 0;
     /**
-     * Kernel work counters. These depend on collapsing (jobs > 1
-     * simulates representatives only), so unlike everything above
-     * they are NOT part of the determinism contract across jobs.
+     * Kernel work counters. These depend on collapsing, batching and
+     * the shard split, so unlike everything above they are NOT part
+     * of the determinism contract.
      */
     long periodsSimulated = 0;
     long periodsSkipped = 0;
     /** Classes (and the faults they cover) dominance-pruned instead
-     *  of simulated; 0 on the serial path. Non-deterministic across
-     *  jobs like the period counters above. */
+     *  of simulated; 0 for the reference. Tail data like the period
+     *  counters above. */
     int prunedClasses = 0;
     int prunedFaults = 0;
     /** @name Fault-parallel replay breakdown
-     *  Work accounting of the lane-batched path; all of it is
-     *  non-deterministic tail data like the period counters. */
+     *  Work accounting of the pipeline; all of it is non-deterministic
+     *  tail data like the period counters. */
     /** @{ */
-    bool faultBatch = false; ///< the lane-batched path ran
+    bool faultBatch = false; ///< the lane-batched replay ran
     int classes = 0;         ///< collapse classes (0 when uncollapsed)
     int batchedClasses = 0;  ///< classes replayed lane-batched
     int batches = 0;         ///< lane batches formed
     long retiredEarly = 0;   ///< lane groups retired before stream end
-    long memoHits = 0;       ///< hot-state memo resumes
-    long memoMisses = 0;     ///< batches replayed from period 0
     /** @} */
     /** Wall-clock stats; explicitly non-deterministic. */
     engine::CampaignStats stats;
@@ -245,9 +207,8 @@ class SeqVerdictAccumulator
 {
   public:
     /**
-     * Multi-word form: @p lane_mask holds @p lane_words packed mask
-     * words (lane l at bit l % 64 of word l / 64, the sim/wide.hh
-     * layout).
+     * @p lane_mask holds @p lane_words packed mask words (lane l at
+     * bit l % 64 of word l / 64, the sim/wide.hh layout).
      */
     SeqVerdictAccumulator(const std::uint64_t *lane_mask, int lane_words,
                           bool drop_detected)
@@ -256,12 +217,6 @@ class SeqVerdictAccumulator
         for (int w = 0; w < lane_words; ++w)
             laneMask_[static_cast<std::size_t>(w)] = lane_mask[w];
         laneAlarm_.fill(-1);
-    }
-
-    /** Legacy 64-lane form (lane_words == 1). */
-    SeqVerdictAccumulator(std::uint64_t lane_mask, bool drop_detected)
-        : SeqVerdictAccumulator(&lane_mask, 1, drop_detected)
-    {
     }
 
     /**
@@ -302,14 +257,6 @@ class SeqVerdictAccumulator
         return !(drop_ && all_alarmed);
     }
 
-    /** Legacy single-word form. */
-    bool
-    addSymbol(long symbol, std::uint64_t alarm_mask,
-              std::uint64_t wrong_mask)
-    {
-        return addSymbol(symbol, &alarm_mask, &wrong_mask);
-    }
-
     Outcome
     outcome() const
     {
@@ -323,8 +270,6 @@ class SeqVerdictAccumulator
     int laneWords() const { return laneWords_; }
     long firstAlarmPeriod() const { return firstAlarm_; }
     long firstEscapePeriod() const { return firstEscape_; }
-    /** Alarmed-lane word 0 (all lanes when laneWords() == 1). */
-    std::uint64_t alarmedLanes() const { return alarmed_[0]; }
     /** Alarmed-lane word @p w. */
     std::uint64_t alarmedWord(int w) const
     {
@@ -371,42 +316,21 @@ std::vector<std::vector<std::uint64_t>>
 buildSymbolWords(int num_inputs, int phi_input, long symbols,
                  std::uint64_t seed, int lane_words = 1);
 
-/**
- * Optional cross-call campaign state: caches the flattened netlist,
- * the fault-free trace, the collapse and the lane-batch plan keyed by
- * (netlist content, config minus symbol count), plus a bounded LRU of
- * per-batch hot-state snapshots (replay position, faulty flip-flop
- * state, verdict accumulators). Re-running the same campaign with a
- * longer symbol stream then extends the trace and resumes every
- * memoized batch where it left off instead of replaying the prefix —
- * results stay bit-identical (a snapshot is exactly the state a fresh
- * replay reaches at the snapshot period; an evicted snapshot just
- * falls back to the full replay). Only consulted on the lane-batched
- * path. A context must not be shared by concurrent campaigns.
- */
-class SeqCampaignContext
-{
-  public:
-    SeqCampaignContext();
-    ~SeqCampaignContext();
-    SeqCampaignContext(const SeqCampaignContext &) = delete;
-    SeqCampaignContext &operator=(const SeqCampaignContext &) = delete;
-
-    /** Batches resumed from / replayed despite the memo, lifetime. */
-    long memoHits() const;
-    long memoMisses() const;
-
-    struct Impl; ///< defined in seq_campaign.cc
-    std::unique_ptr<Impl> impl;
-};
-
-/** Run the campaign over all stuck-at faults of @p net. @p ctx, when
- *  given, carries the hot-state memo across calls (see above). */
+/** Run the campaign over all stuck-at faults of @p net. */
 SeqCampaignResult
 runSequentialCampaign(const netlist::Netlist &net,
                       const SeqCampaignSpec &spec,
-                      const SeqCampaignOptions &opts = {},
-                      SeqCampaignContext *ctx = nullptr);
+                      const SeqCampaignOptions &opts = {});
+
+/**
+ * The oracle: every fault of @p net replayed on its own by the
+ * single-fault kernel, uncollapsed and serial, over the same streams.
+ * Ignores opts.jobs; verdicts equal runSequentialCampaign's.
+ */
+SeqCampaignResult
+referenceSequentialCampaign(const netlist::Netlist &net,
+                            const SeqCampaignSpec &spec,
+                            const SeqCampaignOptions &opts = {});
 
 } // namespace scal::fault
 

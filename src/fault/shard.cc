@@ -1,6 +1,7 @@
 #include "fault/shard.hh"
 
-#include "netlist/io.hh"
+#include <algorithm>
+
 #include "sim/simd.hh"
 
 namespace scal::fault
@@ -21,7 +22,12 @@ encodeCombPayload(const CombPayload &p)
     w.u64(p.patternsApplied);
     w.u32(static_cast<std::uint32_t>(p.lanes));
     w.str(p.simd);
-    w.u64(p.batches);
+    for (const int c : {p.fp.classes, p.fp.prunedClasses,
+                        p.fp.prunedFaults, p.fp.flipClasses,
+                        p.fp.cptClasses, p.fp.tapClasses,
+                        p.fp.simClasses})
+        w.u32(static_cast<std::uint32_t>(c));
+    w.u64(p.fp.batches);
     w.u32(static_cast<std::uint32_t>(p.records.size()));
     for (const CombRecord &r : p.records) {
         w.u32(r.faultIndex);
@@ -42,7 +48,12 @@ decodeCombPayload(const std::vector<std::uint8_t> &bytes,
     p.patternsApplied = r.u64();
     p.lanes = static_cast<int>(r.u32());
     p.simd = r.str();
-    p.batches = r.u64();
+    for (int *c : {&p.fp.classes, &p.fp.prunedClasses,
+                   &p.fp.prunedFaults, &p.fp.flipClasses,
+                   &p.fp.cptClasses, &p.fp.tapClasses,
+                   &p.fp.simClasses})
+        *c = static_cast<int>(r.u32());
+    p.fp.batches = r.u64();
     const std::uint32_t n = r.u32();
     p.records.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -73,8 +84,6 @@ encodeSeqPayload(const SeqPayload &p)
     w.i64(p.periodsSimulated);
     w.i64(p.periodsSkipped);
     w.i64(p.retiredEarly);
-    w.i64(p.memoHits);
-    w.i64(p.memoMisses);
     w.u32(static_cast<std::uint32_t>(p.classes));
     w.u32(static_cast<std::uint32_t>(p.prunedClasses));
     w.u32(static_cast<std::uint32_t>(p.prunedFaults));
@@ -107,8 +116,6 @@ decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
     p.periodsSimulated = r.i64();
     p.periodsSkipped = r.i64();
     p.retiredEarly = r.i64();
-    p.memoHits = r.i64();
-    p.memoMisses = r.i64();
     p.classes = static_cast<int>(r.u32());
     p.prunedClasses = static_cast<int>(r.u32());
     p.prunedFaults = static_cast<int>(r.u32());
@@ -137,16 +144,6 @@ decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
     return p;
 }
 
-} // namespace shard_detail
-
-namespace
-{
-
-using shard_detail::CombPayload;
-using shard_detail::CombRecord;
-using shard_detail::SeqPayload;
-using shard_detail::SeqRecord;
-
 std::string
 partialName(const std::vector<std::string> &names, std::size_t i)
 {
@@ -154,11 +151,6 @@ partialName(const std::vector<std::string> &names, std::size_t i)
                             : "partial " + std::to_string(i + 1);
 }
 
-/**
- * Shared merge-time validation: decode every snapshot, check kind /
- * net hash / config agreement, completeness, and that the shard
- * indices of one consistent N-way split each appear exactly once.
- */
 std::vector<SnapshotHeader>
 validatePartials(const std::string &kind, std::uint64_t net_hash,
                  const std::vector<std::vector<std::uint8_t>> &partials,
@@ -190,8 +182,13 @@ validatePartials(const std::string &kind, std::uint64_t net_hash,
         hdrs.push_back(std::move(h));
     }
     const SnapshotHeader &first = hdrs.front();
-    std::vector<bool> seen(static_cast<std::size_t>(first.shard.count),
-                           false);
+    // Check the split size before sizing anything by it.
+    if (static_cast<std::size_t>(first.shard.count) != hdrs.size())
+        throw SnapshotError(
+            "merge: got " + std::to_string(hdrs.size()) +
+            " partials for an N=" + std::to_string(first.shard.count) +
+            " split");
+    std::vector<bool> seen(hdrs.size(), false);
     for (std::size_t i = 0; i < hdrs.size(); ++i) {
         const std::string name = partialName(names, i);
         if (hdrs[i].configKey != first.configKey)
@@ -210,12 +207,43 @@ validatePartials(const std::string &kind, std::uint64_t net_hash,
                                 hdrs[i].shard.str());
         seen[idx] = true;
     }
-    if (static_cast<int>(hdrs.size()) != first.shard.count)
-        throw SnapshotError(
-            "merge: got " + std::to_string(hdrs.size()) +
-            " partials for an N=" + std::to_string(first.shard.count) +
-            " split");
     return hdrs;
+}
+
+void
+coverFault(std::vector<std::uint8_t> &covered, std::uint32_t k,
+           const std::string &name)
+{
+    if (k >= covered.size())
+        throw SnapshotError(name + ": fault index " + std::to_string(k) +
+                            " out of range (circuit has " +
+                            std::to_string(covered.size()) + ")");
+    if (covered[k]++)
+        throw SnapshotError(name + ": fault index " + std::to_string(k) +
+                            " covered twice");
+}
+
+void
+checkAllCovered(const std::vector<std::uint8_t> &covered)
+{
+    for (std::size_t k = 0; k < covered.size(); ++k)
+        if (!covered[k])
+            throw SnapshotError("merge: fault index " + std::to_string(k) +
+                                " covered by no partial (missing shard?)");
+}
+
+engine::CampaignStats
+mergedStats(std::uint64_t faults, std::uint64_t simulated,
+            std::uint64_t patterns)
+{
+    engine::CampaignStats st;
+    st.totalFaults = faults;
+    st.simulatedFaults = simulated;
+    st.patternsApplied = patterns;
+    st.collapseRatio =
+        faults ? static_cast<double>(simulated) / static_cast<double>(faults)
+               : 1.0;
+    return st;
 }
 
 sim::SimdTarget
@@ -227,172 +255,144 @@ parseSimdName(const std::string &s, const std::string &name)
     return t;
 }
 
-} // namespace
+void
+checkResumedCoverage(const std::vector<std::uint32_t> &faultIndex,
+                     const std::vector<int> &classOf,
+                     const std::vector<std::uint8_t> &done,
+                     const std::string &name)
+{
+    std::vector<std::uint8_t> seen(classOf.size(), 0);
+    for (const std::uint32_t k : faultIndex) {
+        if (k >= classOf.size() ||
+            !done[static_cast<std::size_t>(classOf[k])] || seen[k]++)
+            throw SnapshotError(name + ": fault index " +
+                                std::to_string(k) +
+                                " does not belong to the resumed units");
+    }
+    for (std::size_t k = 0; k < classOf.size(); ++k)
+        if (done[static_cast<std::size_t>(classOf[k])] && !seen[k])
+            throw SnapshotError(name + ": resumed units miss fault " +
+                                std::to_string(k));
+}
+
+ShardOutcome
+runSlices(SliceWork &work, const engine::ShardSpec &shard,
+          const CheckpointOptions &ckpt, bool publish,
+          const engine::EngineOptions &eopts,
+          const engine::CancelToken *cancel)
+{
+    ShardOutcome out;
+    out.units = work.units();
+    out.shardClasses = static_cast<int>(work.classesIn(0, out.units));
+    out.shardFaults = static_cast<int>(work.faults());
+
+    // The snapshot identity costs a netlist hash: only inline runs
+    // with nothing to encode skip it.
+    SnapshotHeader id;
+    if (publish || ckpt.sink || ckpt.resume) {
+        id = work.identity();
+        id.shard = shard;
+        id.units = out.units;
+    }
+
+    std::uint64_t cursor = 0;
+    if (ckpt.resume) {
+        std::vector<std::uint8_t> payload;
+        const SnapshotHeader h = engine::decodeSnapshot(
+            *ckpt.resume, &payload, ckpt.resumeName);
+        if (h.kind != id.kind)
+            throw SnapshotError(ckpt.resumeName + ": not a " + id.kind +
+                                " campaign snapshot");
+        if (h.netHash != id.netHash)
+            throw SnapshotError(ckpt.resumeName +
+                                ": snapshot is for a different circuit");
+        if (h.configKey != id.configKey)
+            throw SnapshotError(
+                ckpt.resumeName + ": config mismatch (snapshot '" +
+                h.configKey + "', run '" + id.configKey + "')");
+        if (h.shapeKey != id.shapeKey || h.units != id.units)
+            throw SnapshotError(
+                ckpt.resumeName +
+                ": work-shape mismatch; rerun without --resume");
+        if (!(h.shard == shard))
+            throw SnapshotError(ckpt.resumeName + ": snapshot is shard " +
+                                h.shard.str() + ", not " + shard.str());
+        work.restorePayload(payload, h.cursor, ckpt.resumeName);
+        cursor = h.cursor;
+        out.resumedUnits = cursor;
+    }
+
+    const auto snapshot = [&](std::uint64_t cur, bool complete) {
+        SnapshotHeader h = id;
+        h.cursor = cur;
+        h.complete = complete;
+        return engine::encodeSnapshot(h, work.encodePayload(cur));
+    };
+    const auto checkpoint = [&](std::uint64_t cur) {
+        if (ckpt.sink)
+            ckpt.sink(snapshot(cur, false), false);
+    };
+
+    // every < 0 = auto cadence: ~16 snapshots across this shard with
+    // a 64-class floor. Snapshots are self-contained (all records so
+    // far), so a fixed fine cadence on a big universe would pay
+    // O(snapshots x records) encode-and-write bytes.
+    const std::uint64_t every =
+        ckpt.every >= 0
+            ? static_cast<std::uint64_t>(ckpt.every)
+            : std::max<std::uint64_t>(
+                  64, static_cast<std::uint64_t>(out.shardClasses) / 16);
+
+    engine::CampaignEngine eng(eopts);
+    eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
+    while (cursor < out.units) {
+        // Whole units covering >= `every` classes (all when 0).
+        std::uint64_t end = cursor;
+        std::uint64_t classes = 0;
+        do {
+            classes += work.classesIn(end, end + 1);
+            ++end;
+        } while (end < out.units && (every == 0 || classes < every));
+
+        try {
+            work.classify(eng, cursor, end);
+        } catch (const engine::CampaignCancelled &) {
+            // An interrupt lands a final checkpoint at the last
+            // completed block instead of discarding the work.
+            checkpoint(cursor);
+            throw;
+        }
+        cursor = end;
+        if (cursor == out.units)
+            break;
+        if (every > 0)
+            checkpoint(cursor);
+        if (cancel && cancel->stopRequested()) {
+            if (every == 0)
+                checkpoint(cursor);
+            throw engine::CampaignCancelled();
+        }
+    }
+    // An empty trailing shard still publishes a partial.
+    if (publish || ckpt.sink) {
+        std::vector<std::uint8_t> snap = snapshot(out.units, true);
+        if (ckpt.sink)
+            ckpt.sink(snap, true);
+        if (publish)
+            out.partial = std::move(snap);
+    }
+    out.stats = eng.endCampaign(work.faults(), work.simulatedClasses(),
+                                work.patterns());
+    return out;
+}
+
+} // namespace shard_detail
 
 engine::SnapshotHeader
 snapshotHeader(const std::vector<std::uint8_t> &bytes,
                const std::string &name)
 {
     return engine::decodeSnapshot(bytes, nullptr, name);
-}
-
-CampaignResult
-mergeCampaignPartials(const netlist::Netlist &net,
-                      const std::vector<std::vector<std::uint8_t>> &partials,
-                      const std::vector<std::string> &names)
-{
-    std::vector<std::vector<std::uint8_t>> payloads;
-    validatePartials("comb", netlist::contentHash(net), partials, names,
-                     &payloads);
-
-    const std::vector<netlist::Fault> faults = net.allFaults();
-    CampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-
-    // Fill per-fault verdicts by global index, exactly once.
-    std::vector<std::uint8_t> covered(faults.size(), 0);
-    bool first_payload = true;
-    for (std::size_t i = 0; i < partials.size(); ++i) {
-        const std::string name = partialName(names, i);
-        CombPayload p =
-            shard_detail::decodeCombPayload(payloads[i], name);
-        if (first_payload) {
-            result.patternsApplied = p.patternsApplied;
-            result.lanes = p.lanes;
-            result.simd = parseSimdName(p.simd, name);
-            first_payload = false;
-        } else if (p.patternsApplied != result.patternsApplied ||
-                   p.lanes != result.lanes) {
-            throw SnapshotError(name +
-                                ": pattern/lane header disagrees with " +
-                                partialName(names, 0));
-        }
-        result.fp.batches += p.batches;
-        for (CombRecord &rec : p.records) {
-            if (rec.faultIndex >= faults.size())
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " out of range (circuit has " +
-                                    std::to_string(faults.size()) + ")");
-            if (covered[rec.faultIndex]++)
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " covered twice");
-            FaultResult &fr = result.faults[rec.faultIndex];
-            fr.outcome = static_cast<Outcome>(rec.outcome);
-            fr.unsafePatterns = std::move(rec.unsafePatterns);
-        }
-    }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw SnapshotError(
-                "merge: fault index " + std::to_string(k) +
-                " covered by no partial (missing shard?)");
-
-    // Same fold, same order as the inline runner's finalizeResult.
-    for (const FaultResult &fr : result.faults) {
-        switch (fr.outcome) {
-          case Outcome::Untestable: ++result.numUntestable; break;
-          case Outcome::Detected:   ++result.numDetected; break;
-          case Outcome::Unsafe:     ++result.numUnsafe; break;
-        }
-    }
-    result.fp.enabled = true;
-    result.fp.totalFaults = static_cast<int>(faults.size());
-    return result;
-}
-
-SeqCampaignResult
-mergeSeqCampaignPartials(const netlist::Netlist &net,
-                         const std::vector<std::vector<std::uint8_t>> &partials,
-                         const std::vector<std::string> &names)
-{
-    std::vector<std::vector<std::uint8_t>> payloads;
-    validatePartials("seq", netlist::contentHash(net), partials, names,
-                     &payloads);
-
-    const std::vector<netlist::Fault> faults = net.allFaults();
-    SeqCampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-
-    // Per-fault latency partials, folded below in fault order with
-    // the same integer accumulators finalizeSeqResult uses, so the
-    // histogram / mean double division come out bit-identical.
-    std::vector<SeqRecord> recordOf(faults.size());
-    std::vector<std::uint8_t> covered(faults.size(), 0);
-    bool first_payload = true;
-    for (std::size_t i = 0; i < partials.size(); ++i) {
-        const std::string name = partialName(names, i);
-        SeqPayload p = shard_detail::decodeSeqPayload(payloads[i], name);
-        if (first_payload) {
-            result.symbols = p.symbols;
-            result.lanes = p.lanes;
-            result.simd = parseSimdName(p.simd, name);
-            result.classes = p.classes;
-            result.prunedClasses = p.prunedClasses;
-            result.prunedFaults = p.prunedFaults;
-            result.faultBatch = p.faultBatch;
-            first_payload = false;
-        } else if (p.symbols != result.symbols ||
-                   p.lanes != result.lanes) {
-            throw SnapshotError(name +
-                                ": symbol/lane header disagrees with " +
-                                partialName(names, 0));
-        }
-        result.periodsSimulated += p.periodsSimulated;
-        result.periodsSkipped += p.periodsSkipped;
-        result.retiredEarly += p.retiredEarly;
-        result.memoHits += p.memoHits;
-        result.memoMisses += p.memoMisses;
-        result.batchedClasses += p.batchedClasses;
-        result.batches += p.batches;
-        for (SeqRecord &rec : p.records) {
-            if (rec.faultIndex >= faults.size())
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " out of range (circuit has " +
-                                    std::to_string(faults.size()) + ")");
-            if (covered[rec.faultIndex]++)
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " covered twice");
-            recordOf[rec.faultIndex] = rec;
-        }
-    }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw SnapshotError(
-                "merge: fault index " + std::to_string(k) +
-                " covered by no partial (missing shard?)");
-
-    std::uint64_t lat_sum = 0;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        const SeqRecord &rec = recordOf[k];
-        result.faults[k].outcome = static_cast<Outcome>(rec.outcome);
-        result.faults[k].firstAlarmPeriod =
-            static_cast<long>(rec.firstAlarm);
-        result.faults[k].firstEscapePeriod =
-            static_cast<long>(rec.firstEscape);
-        switch (result.faults[k].outcome) {
-          case Outcome::Untestable: ++result.numUntestable; break;
-          case Outcome::Detected:   ++result.numDetected; break;
-          case Outcome::Unsafe:     ++result.numUnsafe; break;
-        }
-        for (int b = 0; b < kLatencyBuckets; ++b)
-            result.latencyHistogram[static_cast<std::size_t>(b)] +=
-                rec.latHist[static_cast<std::size_t>(b)];
-        result.alarmLaneCount += rec.alarmLanes;
-        lat_sum += rec.latSum;
-    }
-    if (result.alarmLaneCount)
-        result.meanAlarmPeriod =
-            static_cast<double>(lat_sum) /
-            static_cast<double>(result.alarmLaneCount);
-    return result;
 }
 
 namespace
@@ -436,7 +436,6 @@ campaignWorkerArgs(const CampaignOptions &opts)
         pushFlag(&a, "--jobs", std::to_string(opts.jobs));
     a.push_back(opts.faultBatch ? "--fault-batch" : "--no-fault-batch");
     a.push_back(opts.cpt ? "--cpt" : "--no-cpt");
-    a.push_back(opts.dominance ? "--dominance" : "--no-dominance");
     return a;
 }
 
@@ -454,13 +453,6 @@ seqCampaignWorkerArgs(const SeqCampaignOptions &opts,
                  std::to_string(opts.faultEnd));
     if (!opts.dropDetected)
         a.push_back("--no-drop");
-    a.push_back(opts.dominance ? "--dominance" : "--no-dominance");
-    a.push_back(opts.faultBatch ? "--seq-fault-batch"
-                                : "--no-seq-fault-batch");
-    if (!opts.seqDominance)
-        a.push_back("--no-seq-dominance");
-    else if (opts.seqDominanceForce)
-        a.push_back("--seq-dominance");
     if (opts.jobs != 0)
         pushFlag(&a, "--jobs", std::to_string(opts.jobs));
     pushFlag(&a, "--phi-index", std::to_string(spec.phiInput));

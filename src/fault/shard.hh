@@ -2,17 +2,24 @@
  * @file
  * Sharded, checkpointable campaign runs and their bit-identical merge.
  *
- * A shard runner executes one contiguous slice of the collapsed fault
- * classes (engine/shard.hh picks the slice) and emits *per-fault*
- * records — global allFaults() index plus the expanded class verdict —
- * into an engine/checkpoint.hh snapshot. Partial files therefore
- * compose independently of how any shard collapsed, batched or
- * chunked its slice, which is what makes the merged result
- * bit-identical to a single-process run: merge fills the fault vector
- * by index, re-derives the counters with the same fold the inline
- * runner uses (fault order, same integer/double accumulation), and
- * every per-class verdict is already chunk-invariant by the engine's
- * determinism contract.
+ * Every campaign kind (comb, seq, system) runs as one pipeline: plan
+ * the work-unit universe (collapse, batch plan, unit weights), take
+ * this shard's contiguous slice of it (engine/shard.hh picks the
+ * slice), classify the slice block by block on the campaign engine,
+ * and merge. An unsharded run is shard {0, 1} merged in memory; the
+ * block loop — resume-header checks, checkpoint cadence, the snapshot
+ * on cancel, the final partial and the run's stats — is
+ * shard_detail::runSlices, shared by all three kinds.
+ *
+ * A partial carries *per-fault* records — global allFaults() index
+ * plus the expanded class verdict — in an engine/checkpoint.hh
+ * snapshot. Partial files therefore compose independently of how any
+ * shard collapsed, batched or chunked its slice, which is what makes
+ * the merged result bit-identical to a single-process run: merge
+ * fills the fault vector by index and re-derives the counters with
+ * the same fold the inline run uses (fault order, same
+ * integer/double accumulation), and every per-class verdict is
+ * already chunk-invariant by the engine's determinism contract.
  *
  * The same snapshot doubles as the checkpoint: cursor < units marks
  * an interrupted shard whose records cover exactly the first cursor
@@ -29,6 +36,7 @@
 #include <array>
 #include <functional>
 
+#include "engine/campaign_engine.hh"
 #include "engine/checkpoint.hh"
 #include "engine/shard.hh"
 #include "fault/campaign.hh"
@@ -154,14 +162,15 @@ struct CombRecord
     std::vector<std::uint64_t> unsafePatterns;
 };
 
-/** Comb snapshot payload: stream identity + per-fault records. */
+/** Comb snapshot payload: stream identity, the fault-parallel tail
+ *  (plan-wide class counters taken from the first partial at merge,
+ *  this shard's batch count summed) and the per-fault records. */
 struct CombPayload
 {
     std::uint64_t patternsApplied = 0;
     int lanes = 64;
     std::string simd;
-    /** fp tail counters, carried so a resume reports the same tail. */
-    std::uint64_t batches = 0;
+    FaultParallelStats fp;
     std::vector<CombRecord> records;
 };
 
@@ -190,8 +199,6 @@ struct SeqPayload
     std::int64_t periodsSimulated = 0;
     std::int64_t periodsSkipped = 0;
     std::int64_t retiredEarly = 0;
-    std::int64_t memoHits = 0;
-    std::int64_t memoMisses = 0;
     int classes = 0;
     int prunedClasses = 0;
     int prunedFaults = 0;
@@ -207,6 +214,121 @@ CombPayload decodeCombPayload(const std::vector<std::uint8_t> &bytes,
 std::vector<std::uint8_t> encodeSeqPayload(const SeqPayload &p);
 SeqPayload decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
                             const std::string &name);
+
+/**
+ * One campaign kind's side of runSlices: the planned work units of
+ * one shard and the per-class verdicts classified so far. Units are
+ * whatever the kind schedules (FFR groups, lane batches, fault
+ * classes, faults); each covers one or more fault classes.
+ */
+class SliceWork
+{
+  public:
+    virtual ~SliceWork() = default;
+
+    /** Work units in this shard's slice. */
+    virtual std::uint64_t units() const = 0;
+    /** Fault classes covered by units [u0, u1). */
+    virtual std::uint64_t classesIn(std::uint64_t u0,
+                                    std::uint64_t u1) const = 0;
+    /** Original faults covered by the whole slice. */
+    virtual std::uint64_t faults() const = 0;
+    /** Classes of the slice that are simulated (not pruned). */
+    virtual std::uint64_t simulatedClasses() const = 0;
+    /** Patterns (or lane-symbols) each class is classified over. */
+    virtual std::uint64_t patterns() const = 0;
+    /**
+     * Classify units [u0, u1) on @p eng and keep their verdicts.
+     * Must keep nothing when it throws (engine::CampaignCancelled
+     * included), so a cancelled block leaves the cursor valid.
+     */
+    virtual void classify(engine::CampaignEngine &eng, std::uint64_t u0,
+                          std::uint64_t u1) = 0;
+    /** Kind, netlist hash, config and work-shape key of a snapshot. */
+    virtual engine::SnapshotHeader identity() const = 0;
+    /** Payload whose records cover units [0, cursor). */
+    virtual std::vector<std::uint8_t>
+    encodePayload(std::uint64_t cursor) const = 0;
+    /** Load a resumed payload covering units [0, cursor); throws
+     *  engine::SnapshotError when its records do not cover exactly
+     *  those units. */
+    virtual void restorePayload(const std::vector<std::uint8_t> &payload,
+                                std::uint64_t cursor,
+                                const std::string &name) = 0;
+};
+
+/**
+ * The shared slice loop. Resumes from ckpt.resume after checking its
+ * header against work.identity(), classifies the remaining units in
+ * blocks of about ckpt.every classes (one block when 0, an automatic
+ * cadence of max(64, classes / 16) when negative), hands a snapshot
+ * to ckpt.sink after every block, on cancellation and at the end, and
+ * returns the run's stats. With @p publish false, no sink and no
+ * resume, nothing is encoded or hashed: that is the inline run.
+ */
+ShardOutcome runSlices(SliceWork &work, const engine::ShardSpec &shard,
+                       const CheckpointOptions &ckpt, bool publish,
+                       const engine::EngineOptions &eopts,
+                       const engine::CancelToken *cancel);
+
+/**
+ * Check that resumed records cover exactly the faults of the classes
+ * marked in @p done: every index in range, every fault's class done,
+ * no fault twice and none missing. @p classOf maps fault index to
+ * class (identity for per-fault units).
+ */
+void checkResumedCoverage(const std::vector<std::uint32_t> &faultIndex,
+                          const std::vector<int> &classOf,
+                          const std::vector<std::uint8_t> &done,
+                          const std::string &name);
+
+/**
+ * Merge-time validation shared by every kind: decode each snapshot
+ * into @p payloads, check kind / net hash / config agreement,
+ * completeness, and that the shard indices of one N-way split each
+ * appear exactly once. Throws engine::SnapshotError naming the
+ * offending partial.
+ */
+std::vector<engine::SnapshotHeader>
+validatePartials(const std::string &kind, std::uint64_t net_hash,
+                 const std::vector<std::vector<std::uint8_t>> &partials,
+                 const std::vector<std::string> &names,
+                 std::vector<std::vector<std::uint8_t>> *payloads);
+
+/** The engine options of a campaign's jobs / chunking / progress
+ *  fields (CampaignOptions and SeqCampaignOptions alike). */
+template <typename Options>
+engine::EngineOptions
+engineOptions(const Options &opts)
+{
+    engine::EngineOptions eopts;
+    eopts.jobs = opts.jobs;
+    eopts.chunksPerWorker = opts.chunksPerWorker;
+    eopts.progressInterval = opts.progressInterval;
+    eopts.progressCallback = opts.progressCallback;
+    return eopts;
+}
+
+/** Mark fault @p k covered by partial @p name; throws
+ *  engine::SnapshotError on an out-of-range or repeated index. */
+void coverFault(std::vector<std::uint8_t> &covered, std::uint32_t k,
+                const std::string &name);
+
+/** Throw engine::SnapshotError unless every fault is covered. */
+void checkAllCovered(const std::vector<std::uint8_t> &covered);
+
+/** The deterministic stats of a merged run (merge has no clock). */
+engine::CampaignStats mergedStats(std::uint64_t faults,
+                                  std::uint64_t simulated,
+                                  std::uint64_t patterns);
+
+/** @p names[i], or "partial i+1" when not given. */
+std::string partialName(const std::vector<std::string> &names,
+                        std::size_t i);
+
+/** Decode a payload's SIMD target name. */
+sim::SimdTarget parseSimdName(const std::string &s,
+                              const std::string &name);
 
 } // namespace shard_detail
 

@@ -173,10 +173,6 @@ buildSeqJob(const jsonl::Value &cfg, JobConfig *job)
                 "window must be \"START:END\" in periods");
         }
     }
-    // Work-saving knobs: verdicts are knob-invariant, so neither may
-    // enter the canonical config (the cache key must not fragment).
-    o.faultBatch = optBool(cfg, "seq_fault_batch", o.faultBatch);
-    o.seqDominance = optBool(cfg, "seq_dominance", o.seqDominance);
     spec.holdInputs = optIndexList(cfg, "hold");
     spec.dataOutputs = optIndexList(cfg, "data");
     spec.altOutputs = optIndexList(cfg, "alt");

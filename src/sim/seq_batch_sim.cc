@@ -703,43 +703,4 @@ SeqFaultBatchSimulator::flushPending(const FoldSpec &spec,
         flushSymbol(pending_, nullptr, spec, sink);
 }
 
-void
-SeqFaultBatchSimulator::saveState(BatchState *out) const
-{
-    out->t = t_;
-    out->synced = synced_;
-    out->live = live_;
-    out->periodsSimulated = periodsSimulated_;
-    out->periodsSkipped = periodsSkipped_;
-    out->pending = pending_;
-    out->have0 = have0_;
-    out->retired.assign(retired_.begin(),
-                        retired_.begin() + static_cast<std::size_t>(F_));
-    out->faultyState.assign(faultyState_.begin(), faultyState_.end());
-    out->diverged = diverged_;
-    out->buf0.assign(buf0_.begin(), buf0_.end());
-}
-
-void
-SeqFaultBatchSimulator::restoreState(const BatchState &in)
-{
-    if (in.retired.size() != static_cast<std::size_t>(F_) ||
-        in.faultyState.size() != faultyState_.size() ||
-        in.buf0.size() != buf0_.size())
-        throw std::invalid_argument(
-            "batch snapshot does not match this batch shape");
-    t_ = in.t;
-    synced_ = in.synced;
-    live_ = in.live;
-    periodsSimulated_ = in.periodsSimulated;
-    periodsSkipped_ = in.periodsSkipped;
-    pending_ = in.pending;
-    have0_ = in.have0;
-    std::copy(in.retired.begin(), in.retired.end(), retired_.begin());
-    std::copy(in.faultyState.begin(), in.faultyState.end(),
-              faultyState_.begin());
-    diverged_ = in.diverged;
-    std::copy(in.buf0.begin(), in.buf0.end(), buf0_.begin());
-}
-
 } // namespace scal::sim

@@ -32,11 +32,6 @@
  * fault/seq_campaign.cc's classifier, so campaign verdicts,
  * first-alarm periods and latency histograms stay bit-identical to
  * the per-fault path (tests/test_seq_fault_parallel_equiv.cc).
- *
- * saveState()/restoreState() snapshot the replay mid-stream (position,
- * retire masks, faulty flip-flop state, fold stash) so a campaign
- * context can memoize hot batch state and resume a re-simulated
- * window against an extended trace instead of replaying the prefix.
  */
 
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
@@ -109,21 +104,6 @@ class SeqFaultBatchSimulator
         int group, long symbol, const std::uint64_t *alarm,
         const std::uint64_t *wrong)>;
 
-    /** Mid-run snapshot for the campaign-context hot-state memo. */
-    struct BatchState
-    {
-        long t = 0;
-        bool synced = false;
-        int live = 0;
-        long periodsSimulated = 0, periodsSkipped = 0;
-        long pending = -1;
-        bool have0 = false;
-        std::vector<std::uint8_t> retired;
-        std::vector<std::uint64_t> faultyState;
-        std::vector<std::int32_t> diverged;
-        std::vector<std::uint64_t> buf0;
-    };
-
     /**
      * @param trace full-width good trace (laneWords() must be a
      *        multiple of @p group_words)
@@ -143,10 +123,9 @@ class SeqFaultBatchSimulator
     /**
      * Replay from the current position to the end of the trace (or
      * until every group is retired / re-synced), folding verdict
-     * symbols through @p sink. Resumable: extending the trace and
-     * calling run() again continues where the last call stopped.
-     * Does NOT deliver a trailing half-flushed symbol — call
-     * flushPending() when the stream is complete.
+     * symbols through @p sink. Does NOT deliver a trailing
+     * half-flushed symbol — call flushPending() when the stream is
+     * complete.
      */
     void run(const FoldSpec &spec, const SymbolSink &sink);
 
@@ -154,17 +133,12 @@ class SeqFaultBatchSimulator
     void flushPending(const FoldSpec &spec, const SymbolSink &sink);
 
     bool retired(int f) const { return retired_[f] != 0; }
-    int liveGroups() const { return live_; }
 
     /** @name Work counters (reset by beginBatch) */
     /** @{ */
     long periodsSimulated() const { return periodsSimulated_; }
     long periodsSkipped() const { return periodsSkipped_; }
     /** @} */
-
-    void saveState(BatchState *out) const;
-    /** Restore a snapshot taken for the same batch + trace stream. */
-    void restoreState(const BatchState &in);
 
   private:
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }

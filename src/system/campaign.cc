@@ -311,69 +311,12 @@ classifyUncheckedFault(const Workload &wl, AluOp op,
     return pf;
 }
 
-/**
- * Classify every fault with @p fn — serially for jobs <= 1, through
- * the campaign engine otherwise. Each fault's run is an independent
- * CPU instance; per-chunk results concatenate back in fault-list
- * order, so the reduction downstream sees the same sequence at any
- * jobs count.
- */
-template <typename Fn>
-std::vector<PerFault>
-classifyAllFaults(const std::vector<Fault> &faults,
-                  const SystemCampaignOptions &opts, Fn fn)
-{
-    const engine::CancelToken *cancel = opts.cancel;
-    std::vector<PerFault> per(faults.size());
-    const int workers = engine::resolveJobs(opts.jobs);
-    if (workers <= 1 || faults.size() < 2) {
-        for (std::size_t k = 0; k < faults.size(); ++k) {
-            if (cancel && cancel->stopRequested())
-                throw engine::CampaignCancelled();
-            per[k] = fn(faults[k]);
-        }
-        return per;
-    }
-
-    engine::EngineOptions eopts;
-    eopts.jobs = workers;
-    eopts.minGrain = 1;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(faults.size());
-    auto chunks = eng.mapChunks<std::vector<PerFault>>(
-        faults.size(), [&](engine::Chunk chunk, std::size_t) {
-            std::vector<PerFault> out(chunk.size());
-            for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-                if (cancel && cancel->stopRequested())
-                    throw engine::CampaignCancelled();
-                out[k - chunk.begin] = fn(faults[k]);
-                eng.progress().addFaultsDone(1);
-            }
-            return out;
-        });
-    std::size_t at = 0;
-    for (const auto &chunk : chunks)
-        for (const PerFault &p : chunk)
-            per[at++] = p;
-    return per;
-}
-
-} // namespace
-
+/** Per-fault verdicts in fault-list order -> the result: the one
+ *  fold of the inline run and the merge. */
 SystemCampaignResult
-runScalCampaign(const Workload &wl, AluOp op,
-                const SystemCampaignOptions &opts)
+foldSystem(const Netlist &alu, const std::vector<Fault> &faults,
+           const std::vector<PerFault> &per)
 {
-    const auto golden = goldenOutput(wl);
-    const Netlist alu = aluNetlist(op);
-    const std::vector<Fault> faults = alu.allFaults();
-
-    const auto classify = [&](const Fault &fault) {
-        return classifyScalFault(wl, op, golden, fault);
-    };
-    const std::vector<PerFault> per =
-        classifyAllFaults(faults, opts, classify);
-
     SystemCampaignResult res;
     double detect_steps = 0;
     for (std::size_t k = 0; k < faults.size(); ++k) {
@@ -398,36 +341,6 @@ runScalCampaign(const Workload &wl, AluOp op,
         res.meanDetectStep = detect_steps / res.detected;
     return res;
 }
-
-SystemCampaignResult
-runUncheckedCampaign(const Workload &wl, AluOp op,
-                     const SystemCampaignOptions &opts)
-{
-    const auto golden = goldenOutput(wl);
-    const Netlist alu = aluNetlistUnchecked(op);
-    const std::vector<Fault> faults = alu.allFaults();
-
-    const auto classify = [&](const Fault &fault) {
-        return classifyUncheckedFault(wl, op, golden, fault);
-    };
-    const std::vector<PerFault> per =
-        classifyAllFaults(faults, opts, classify);
-
-    SystemCampaignResult res;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        ++res.total;
-        if (per[k].outcome == SystemOutcome::Masked) {
-            ++res.masked;
-        } else {
-            ++res.silent;
-            res.silentFaults.push_back(faultToString(alu, faults[k]));
-        }
-    }
-    return res;
-}
-
-namespace
-{
 
 /** Per-fault record layout of a "system" snapshot payload. */
 std::vector<std::uint8_t>
@@ -457,8 +370,6 @@ decodeSystemPayload(const std::vector<std::uint8_t> &bytes,
     const std::uint64_t n = r.u64();
     idx->clear();
     per->clear();
-    idx->reserve(n);
-    per->reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         idx->push_back(r.u32());
         PerFault pf;
@@ -477,7 +388,164 @@ decodeSystemPayload(const std::vector<std::uint8_t> &bytes,
             name + ": trailing bytes after system payload");
 }
 
+/**
+ * One shard of a system campaign: the work units are the ALU's
+ * faults (one independent CPU run each), sliced contiguously, so a
+ * verdict is a pure function of (workload, op, fault).
+ */
+class SystemSlice : public fault::shard_detail::SliceWork
+{
+  public:
+    SystemSlice(const Workload &wl, AluOp op, bool checked,
+                const engine::ShardSpec &shard,
+                const engine::CancelToken *cancel)
+        : wl_(wl), op_(op), checked_(checked), cancel_(cancel),
+          golden_(goldenOutput(wl)),
+          alu_(checked ? aluNetlist(op) : aluNetlistUnchecked(op)),
+          faults_(alu_.allFaults()),
+          slice_(engine::shardSlice(faults_.size(), shard)),
+          per_(faults_.size())
+    {
+    }
+
+    std::uint64_t units() const override { return slice_.size(); }
+    std::uint64_t classesIn(std::uint64_t u0,
+                            std::uint64_t u1) const override
+    {
+        return u1 - u0;
+    }
+    std::uint64_t faults() const override { return slice_.size(); }
+    std::uint64_t simulatedClasses() const override
+    {
+        return slice_.size();
+    }
+    std::uint64_t patterns() const override { return 0; }
+
+    void
+    classify(engine::CampaignEngine &eng, std::uint64_t u0,
+             std::uint64_t u1) override
+    {
+        const std::size_t f0 = slice_.begin + u0;
+        const auto chunks = eng.mapChunks<std::vector<PerFault>>(
+            u1 - u0, [&](engine::Chunk chunk, std::size_t) {
+                std::vector<PerFault> o(chunk.size());
+                for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
+                    if (cancel_ && cancel_->stopRequested())
+                        throw engine::CampaignCancelled();
+                    const Fault &f = faults_[f0 + k];
+                    o[k - chunk.begin] =
+                        checked_ ? classifyScalFault(wl_, op_, golden_, f)
+                                 : classifyUncheckedFault(wl_, op_,
+                                                          golden_, f);
+                    eng.progress().addFaultsDone(1);
+                }
+                return o;
+            });
+        std::size_t k = f0;
+        for (const auto &chunk : chunks)
+            for (const PerFault &pf : chunk)
+                per_[k++] = pf;
+    }
+
+    engine::SnapshotHeader
+    identity() const override
+    {
+        engine::SnapshotHeader h;
+        h.kind = "system";
+        h.netHash = netlist::contentHash(alu_);
+        h.configKey = canonicalSystemConfig(wl_.name, op_, checked_);
+        h.shapeKey = "system"; // no work-shape knobs
+        return h;
+    }
+
+    std::vector<std::uint8_t>
+    encodePayload(std::uint64_t cursor) const override
+    {
+        std::vector<std::uint32_t> idx;
+        std::vector<PerFault> per;
+        for (std::size_t k = slice_.begin; k < slice_.begin + cursor;
+             ++k) {
+            idx.push_back(static_cast<std::uint32_t>(k));
+            per.push_back(per_[k]);
+        }
+        return encodeSystemPayload(checked_, idx, per);
+    }
+
+    void
+    restorePayload(const std::vector<std::uint8_t> &payload,
+                   std::uint64_t cursor, const std::string &name) override
+    {
+        bool snapChecked = false;
+        std::vector<std::uint32_t> idx;
+        std::vector<PerFault> per;
+        decodeSystemPayload(payload, name, &snapChecked, &idx, &per);
+        if (snapChecked != checked_)
+            throw engine::SnapshotError(
+                name + ": snapshot is for the other CPU configuration");
+        std::vector<int> identity(faults_.size());
+        std::vector<std::uint8_t> done(faults_.size(), 0);
+        for (std::size_t k = 0; k < faults_.size(); ++k) {
+            identity[k] = static_cast<int>(k);
+            done[k] = k >= slice_.begin && k < slice_.begin + cursor;
+        }
+        fault::shard_detail::checkResumedCoverage(idx, identity, done,
+                                                  name);
+        for (std::size_t i = 0; i < idx.size(); ++i)
+            per_[idx[i]] = per[i];
+    }
+
+    SystemCampaignResult
+    result() const
+    {
+        return foldSystem(alu_, faults_, per_);
+    }
+
+  private:
+    const Workload &wl_;
+    const AluOp op_;
+    const bool checked_;
+    const engine::CancelToken *cancel_;
+    const std::vector<std::uint8_t> golden_;
+    const Netlist alu_;
+    const std::vector<Fault> faults_;
+    const engine::Chunk slice_;
+    std::vector<PerFault> per_;
+};
+
+engine::EngineOptions
+engineOptions(const SystemCampaignOptions &opts)
+{
+    engine::EngineOptions eopts;
+    eopts.jobs = opts.jobs;
+    eopts.minGrain = 1; // each fault is a whole program run
+    return eopts;
+}
+
+SystemCampaignResult
+runInline(const Workload &wl, AluOp op, bool checked,
+          const SystemCampaignOptions &opts)
+{
+    SystemSlice work(wl, op, checked, {}, opts.cancel);
+    fault::shard_detail::runSlices(work, {}, {}, /*publish=*/false,
+                                   engineOptions(opts), opts.cancel);
+    return work.result();
+}
+
 } // namespace
+
+SystemCampaignResult
+runScalCampaign(const Workload &wl, AluOp op,
+                const SystemCampaignOptions &opts)
+{
+    return runInline(wl, op, /*checked=*/true, opts);
+}
+
+SystemCampaignResult
+runUncheckedCampaign(const Workload &wl, AluOp op,
+                     const SystemCampaignOptions &opts)
+{
+    return runInline(wl, op, /*checked=*/false, opts);
+}
 
 fault::ShardOutcome
 runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
@@ -485,162 +553,10 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
                        const engine::ShardSpec &shard,
                        const fault::CheckpointOptions &ckpt)
 {
-    const auto golden = goldenOutput(wl);
-    const Netlist alu =
-        checked ? aluNetlist(op) : aluNetlistUnchecked(op);
-    const std::vector<Fault> faults = alu.allFaults();
-    const engine::Chunk slice =
-        engine::shardSlice(faults.size(), shard);
-
-    const std::uint64_t net_hash = netlist::contentHash(alu);
-    const std::string config_key =
-        canonicalSystemConfig(wl.name, op, checked);
-    const std::string shape_key = "system"; // no work-shape knobs
-
-    fault::ShardOutcome out;
-    out.units = slice.size();
-    out.shardClasses = static_cast<int>(slice.size());
-
-    std::vector<std::uint32_t> recIdx;
-    std::vector<PerFault> recPer;
-    std::uint64_t cursor = 0;
-
-    if (ckpt.resume) {
-        std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "system")
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": not a system campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different ALU netlist");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.units != out.units || !(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": shard/work-shape mismatch; rerun without --resume");
-        bool snapChecked = false;
-        decodeSystemPayload(payload, ckpt.resumeName, &snapChecked,
-                            &recIdx, &recPer);
-        if (snapChecked != checked)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for the other CPU configuration");
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
-    }
-
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        engine::SnapshotHeader h;
-        h.kind = "system";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(
-            h, encodeSystemPayload(checked, recIdx, recPer));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
-
-    const auto classify = [&](const Fault &fault) {
-        return checked ? classifyScalFault(wl, op, golden, fault)
-                       : classifyUncheckedFault(wl, op, golden, fault);
-    };
-
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    if (jobs > 1 && slice.size() >= 2) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.minGrain = 1;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(out.units);
-    }
-
-    while (cursor < out.units) {
-        const std::size_t f0 = slice.begin + cursor;
-        const std::size_t f1 =
-            ckpt.every > 0
-                ? std::min(slice.end,
-                           f0 + static_cast<std::size_t>(ckpt.every))
-                : slice.end;
-
-        try {
-            if (eng) {
-                const auto chunks =
-                    eng->mapChunks<std::vector<PerFault>>(
-                        f1 - f0, [&](engine::Chunk chunk, std::size_t) {
-                            std::vector<PerFault> o(chunk.size());
-                            for (std::size_t k = chunk.begin;
-                                 k < chunk.end; ++k) {
-                                if (opts.cancel &&
-                                    opts.cancel->stopRequested())
-                                    throw engine::CampaignCancelled();
-                                o[k - chunk.begin] =
-                                    classify(faults[f0 + k]);
-                                eng->progress().addFaultsDone(1);
-                            }
-                            return o;
-                        });
-                std::size_t k = f0;
-                for (const auto &chunk : chunks) {
-                    for (const PerFault &pf : chunk) {
-                        recIdx.push_back(
-                            static_cast<std::uint32_t>(k++));
-                        recPer.push_back(pf);
-                    }
-                }
-            } else {
-                for (std::size_t k = f0; k < f1; ++k) {
-                    if (opts.cancel && opts.cancel->stopRequested())
-                        throw engine::CampaignCancelled();
-                    recIdx.push_back(static_cast<std::uint32_t>(k));
-                    recPer.push_back(classify(faults[k]));
-                }
-            }
-        } catch (const engine::CampaignCancelled &) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw;
-        }
-
-        cursor = f1 - slice.begin;
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && ckpt.every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true);
-
-    out.shardFaults = static_cast<int>(recIdx.size());
-    if (eng) {
-        out.stats = eng->endCampaign(out.units, out.units, 0);
-    } else {
-        out.stats.jobs = 1;
-        out.stats.totalFaults = out.units;
-        out.stats.simulatedFaults = out.units;
-    }
-    return out;
+    SystemSlice work(wl, op, checked, shard, opts.cancel);
+    return fault::shard_detail::runSlices(work, shard, ckpt,
+                                          /*publish=*/true,
+                                          engineOptions(opts), opts.cancel);
 }
 
 SystemCampaignResult
@@ -651,111 +567,29 @@ mergeSystemPartials(AluOp op, bool checked,
     const Netlist alu =
         checked ? aluNetlist(op) : aluNetlistUnchecked(op);
     const std::vector<Fault> faults = alu.allFaults();
-    const std::uint64_t net_hash = netlist::contentHash(alu);
-
-    auto nameOf = [&](std::size_t i) {
-        return i < names.size() ? names[i]
-                                : "partial " + std::to_string(i);
-    };
-    if (partials.empty())
-        throw engine::SnapshotError("merge: no partials given");
+    std::vector<std::vector<std::uint8_t>> payloads;
+    fault::shard_detail::validatePartials(
+        "system", netlist::contentHash(alu), partials, names, &payloads);
 
     std::vector<PerFault> per(faults.size());
     std::vector<std::uint8_t> covered(faults.size(), 0);
-    std::string config;
-    std::vector<std::uint8_t> seen;
-
     for (std::size_t i = 0; i < partials.size(); ++i) {
-        std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h =
-            engine::decodeSnapshot(partials[i], &payload, nameOf(i));
-        if (h.kind != "system")
-            throw engine::SnapshotError(
-                nameOf(i) + ": not a system campaign snapshot");
-        if (!h.complete)
-            throw engine::SnapshotError(
-                nameOf(i) + ": incomplete shard (cursor " +
-                std::to_string(h.cursor) + " of " +
-                std::to_string(h.units) + " units); resume it first");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                nameOf(i) + ": snapshot is for a different ALU netlist");
-        if (i == 0) {
-            config = h.configKey;
-            if (h.shard.count != static_cast<int>(partials.size()))
-                throw engine::SnapshotError(
-                    nameOf(i) + ": run has " +
-                    std::to_string(h.shard.count) + " shards but " +
-                    std::to_string(partials.size()) +
-                    " partials were given");
-            seen.assign(static_cast<std::size_t>(h.shard.count), 0);
-        } else if (h.configKey != config) {
-            throw engine::SnapshotError(
-                nameOf(i) + ": config mismatch ('" + h.configKey +
-                "' vs '" + config + "')");
-        }
-        if (h.shard.count != static_cast<int>(seen.size()))
-            throw engine::SnapshotError(
-                nameOf(i) + ": shard count mismatch");
-        // ShardSpec::index is zero-based (the "K/N" CLI form is not).
-        const std::size_t si = static_cast<std::size_t>(h.shard.index);
-        if (seen[si]++)
-            throw engine::SnapshotError(
-                nameOf(i) + ": duplicate shard " + h.shard.str());
-
+        const std::string name = fault::shard_detail::partialName(names, i);
         bool snapChecked = false;
         std::vector<std::uint32_t> recIdx;
         std::vector<PerFault> recPer;
-        decodeSystemPayload(payload, nameOf(i), &snapChecked, &recIdx,
+        decodeSystemPayload(payloads[i], name, &snapChecked, &recIdx,
                             &recPer);
         if (snapChecked != checked)
             throw engine::SnapshotError(
-                nameOf(i) +
-                ": snapshot is for the other CPU configuration");
+                name + ": snapshot is for the other CPU configuration");
         for (std::size_t r = 0; r < recIdx.size(); ++r) {
-            if (recIdx[r] >= faults.size())
-                throw engine::SnapshotError(
-                    nameOf(i) + ": fault index " +
-                    std::to_string(recIdx[r]) + " out of range");
-            if (covered[recIdx[r]]++)
-                throw engine::SnapshotError(
-                    nameOf(i) + ": fault " +
-                    std::to_string(recIdx[r]) +
-                    " covered by more than one shard");
+            fault::shard_detail::coverFault(covered, recIdx[r], name);
             per[recIdx[r]] = recPer[r];
         }
     }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw engine::SnapshotError(
-                "merge: fault " + std::to_string(k) +
-                " covered by no shard");
-
-    // Identical fold (fault order, double accumulation) to the inline
-    // campaigns, so the merged result is field-identical.
-    SystemCampaignResult res;
-    double detect_steps = 0;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        const PerFault &pf = per[k];
-        if (pf.countsDetectStep)
-            detect_steps += static_cast<double>(pf.detectStep);
-        ++res.total;
-        switch (pf.outcome) {
-          case SystemOutcome::Masked:
-            ++res.masked;
-            break;
-          case SystemOutcome::Detected:
-            ++res.detected;
-            break;
-          case SystemOutcome::SilentCorruption:
-            ++res.silent;
-            res.silentFaults.push_back(faultToString(alu, faults[k]));
-            break;
-        }
-    }
-    if (res.detected)
-        res.meanDetectStep = detect_steps / res.detected;
-    return res;
+    fault::shard_detail::checkAllCovered(covered);
+    return foldSystem(alu, faults, per);
 }
 
 std::string

@@ -174,6 +174,31 @@ TEST(Checkpoint, BadMagicAndVersionRejected)
     }
 }
 
+TEST(Checkpoint, HostileShardCountRejected)
+{
+    // A sealed header claiming a 5000-way split (above the 4096 shard
+    // limit) must fail at decode with a located diagnostic, before
+    // merge could size anything by the count.
+    SnapshotHeader hdr = sampleHeader();
+    hdr.shard = {0, 5000};
+    const auto bytes = engine::encodeSnapshot(hdr, samplePayload());
+    try {
+        engine::decodeSnapshot(bytes, nullptr, "hostile.snp");
+        FAIL() << "5000-shard header decoded";
+    } catch (const SnapshotError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("hostile.snp"), std::string::npos) << what;
+        EXPECT_NE(what.find("shard"), std::string::npos) << what;
+        EXPECT_NE(what.find("at byte"), std::string::npos) << what;
+    }
+    EXPECT_THROW(fault::snapshotHeader(bytes, "hostile.snp"),
+                 SnapshotError);
+
+    hdr.shard = {4095, 4096}; // the limit itself is fine
+    EXPECT_NO_THROW(engine::decodeSnapshot(
+        engine::encodeSnapshot(hdr, samplePayload()), nullptr, "ok"));
+}
+
 TEST(Checkpoint, FileRoundTripIsAtomic)
 {
     const std::filesystem::path dir =

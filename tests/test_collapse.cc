@@ -111,15 +111,11 @@ checkExactness(const Netlist &net, const char *label,
 {
     fault::CampaignOptions opts;
     opts.maxPatterns = std::uint64_t{1} << 20;
-    opts.jobs = 1;
-    opts.faultBatch = false;
-    opts.cpt = false;
-    opts.dominance = false;
     // Raw random netlists are rarely self-dual; equivalence
     // exactness is a property of the verdicts, not of the
     // alternating precondition.
     opts.checkAlternating = alternating;
-    const auto res = fault::runAlternatingCampaign(net, opts);
+    const auto res = fault::referenceAlternatingCampaign(net, opts);
 
     const auto faults = net.allFaults();
     ASSERT_EQ(res.faults.size(), faults.size()) << label;

@@ -2,18 +2,21 @@
  * @file
  * The engine's headline guarantee: the same (netlist, seed,
  * maxPatterns) triple yields a bit-identical CampaignResult at any
- * jobs count. jobs == 1 is the original serial loop (every fault
- * simulated, no collapsing); jobs > 1 is the collapse + shard +
- * merge path — so these tests also prove the structural equivalence
- * classes are behaviorally exact on the paper's circuits.
+ * jobs count, and equal to the uncollapsed per-fault reference — so
+ * these tests also prove the structural equivalence classes are
+ * behaviorally exact on the paper's circuits. Also pins the one
+ * definition of faults_per_second at every jobs count.
  */
 
 #include <gtest/gtest.h>
 
 #include "fault/campaign.hh"
 #include "fault/multi.hh"
+#include "fault/seq_campaign.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "seq/dual_flipflop.hh"
+#include "seq/kohavi.hh"
 #include "system/alu.hh"
 #include "system/campaign.hh"
 
@@ -50,15 +53,12 @@ void
 checkAcrossJobs(const Netlist &net, const char *label,
                 std::uint64_t max_patterns = std::uint64_t{1} << 20)
 {
-    // Legacy reference: all fault-parallel knobs off, every fault
-    // simulated individually by the original serial loop.
+    // Reference: every fault simulated individually by the serial
+    // per-fault loop.
     fault::CampaignOptions ref_opts;
     ref_opts.maxPatterns = max_patterns;
-    ref_opts.jobs = 1;
-    ref_opts.faultBatch = false;
-    ref_opts.cpt = false;
-    ref_opts.dominance = false;
-    const auto reference = fault::runAlternatingCampaign(net, ref_opts);
+    const auto reference =
+        fault::referenceAlternatingCampaign(net, ref_opts);
     EXPECT_FALSE(reference.fp.enabled);
     EXPECT_EQ(reference.stats.jobs, 1);
     EXPECT_EQ(reference.stats.simulatedFaults, reference.faults.size());
@@ -133,6 +133,38 @@ TEST(EngineDeterminism, Figure7AluAddSampledPatterns)
         opts.jobs = jobs;
         const auto parallel = fault::runAlternatingCampaign(net, opts);
         expectBitIdentical(serial, parallel, net, "ALU ADD sampled");
+    }
+}
+
+TEST(EngineDeterminism, FaultsPerSecondCountsTheWholeUniverse)
+{
+    // One definition at every jobs count: the full fault universe
+    // (not the collapsed classes) over the elapsed wall clock.
+    const Netlist net = circuits::rippleCarryAdder(4);
+    const auto sm = seq::translatorDetector();
+    const fault::SeqCampaignSpec spec = seq::campaignSpec(sm);
+    for (const int jobs : {1, 4}) {
+        fault::CampaignOptions copts;
+        copts.jobs = jobs;
+        const auto comb = fault::runAlternatingCampaign(net, copts);
+        EXPECT_LT(comb.stats.simulatedFaults, comb.faults.size());
+        EXPECT_EQ(comb.stats.totalFaults, comb.faults.size());
+        ASSERT_GT(comb.stats.elapsedSeconds, 0);
+        EXPECT_DOUBLE_EQ(comb.stats.faultsPerSecond,
+                         static_cast<double>(comb.stats.totalFaults) /
+                             comb.stats.elapsedSeconds)
+            << "comb jobs=" << jobs;
+
+        fault::SeqCampaignOptions sopts;
+        sopts.symbols = 16;
+        sopts.jobs = jobs;
+        const auto sq = fault::runSequentialCampaign(sm.net, spec, sopts);
+        EXPECT_EQ(sq.stats.totalFaults, sq.faults.size());
+        ASSERT_GT(sq.stats.elapsedSeconds, 0);
+        EXPECT_DOUBLE_EQ(sq.stats.faultsPerSecond,
+                         static_cast<double>(sq.stats.totalFaults) /
+                             sq.stats.elapsedSeconds)
+            << "seq jobs=" << jobs;
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Oracle equality for the fault-parallel campaign path: batching +
+ * Oracle equality for the fault-parallel campaign pipeline: batching +
  * dominance pruning + CPT must reproduce the per-fault reference
  * verdicts bit-identically at EVERY point of the jobs x lanes x SIMD
  * grid. This is the soundness contract the campaign server's verdict
@@ -51,18 +51,13 @@ void
 checkGrid(const Netlist &net, const char *label,
           std::uint64_t max_patterns, bool check_alternating = true)
 {
-    // Per-fault oracle: every knob off, serial, narrowest portable
-    // engine.
+    // Per-fault oracle at the narrowest portable engine.
     fault::CampaignOptions ref;
     ref.maxPatterns = max_patterns;
-    ref.jobs = 1;
     ref.lanes = 64;
     ref.simd = sim::SimdTarget::Portable;
-    ref.faultBatch = false;
-    ref.cpt = false;
-    ref.dominance = false;
     ref.checkAlternating = check_alternating;
-    const auto oracle = fault::runAlternatingCampaign(net, ref);
+    const auto oracle = fault::referenceAlternatingCampaign(net, ref);
     EXPECT_FALSE(oracle.fp.enabled) << label;
 
     for (const int jobs : {1, 8})
@@ -91,7 +86,8 @@ checkGrid(const Netlist &net, const char *label,
     fault::CampaignOptions wide = ref;
     wide.lanes = 512;
     wide.simd = sim::SimdTarget::Auto;
-    expectSameVerdicts(oracle, fault::runAlternatingCampaign(net, wide),
+    expectSameVerdicts(oracle,
+                       fault::referenceAlternatingCampaign(net, wide),
                        net, std::string(label) + " reference@512");
 }
 

@@ -1,12 +1,10 @@
 /**
- * @file
- * The lane-multiplexed fault-batch campaign path against the
- * per-fault path: bit-identity of verdicts, first-alarm/escape
- * periods, latency histograms and lane counters across jobs counts,
- * lane widths, SIMD targets, transient windows and hold inputs; the
- * raw (non-hardened) fallback spec; knob invariance of the verdict
- * under the sequential-dominance toggle; and the hot-state memo
- * context (cold miss, warm resume, trace-shrink rebuild).
+ * The seq campaign pipeline against the per-fault reference oracle:
+ * bit-identity of verdicts, first-alarm/escape periods, latency
+ * histograms and lane counters across jobs counts, lane widths (the
+ * lane-batched replay up to 256 lanes, the single-fault replay
+ * above), SIMD targets, transient windows and hold inputs; and the
+ * raw (non-hardened) fallback spec.
  */
 
 #include <string>
@@ -121,12 +119,12 @@ expectIdentical(const fault::SeqCampaignResult &a,
         EXPECT_EQ(a.simd, b.simd);
 }
 
+/** The pipeline (batch) or the per-fault oracle (!batch). */
 fault::SeqCampaignResult
-runWith(const Case &c, fault::SeqCampaignOptions opts, bool batch,
-        fault::SeqCampaignContext *ctx = nullptr)
+runWith(const Case &c, const fault::SeqCampaignOptions &opts, bool batch)
 {
-    opts.faultBatch = batch;
-    return fault::runSequentialCampaign(c.net, c.spec, opts, ctx);
+    return batch ? fault::runSequentialCampaign(c.net, c.spec, opts)
+                 : fault::referenceSequentialCampaign(c.net, c.spec, opts);
 }
 
 TEST(SeqFaultParallelEquiv, MatchesPerFaultPathAcrossJobsAndLanes)
@@ -146,6 +144,7 @@ TEST(SeqFaultParallelEquiv, MatchesPerFaultPathAcrossJobsAndLanes)
                 const auto off = runWith(c, opts, false);
                 EXPECT_TRUE(on.faultBatch);
                 EXPECT_FALSE(off.faultBatch);
+                EXPECT_GT(on.batches, 0);
                 expectIdentical(on, off);
             }
         }
@@ -180,7 +179,7 @@ TEST(SeqFaultParallelEquiv, PortableSimdMatches)
 TEST(SeqFaultParallelEquiv, TransientWindowMatches)
 {
     // A non-full window also gates off the time-frame dominance
-    // rules; the batch path must agree with the per-fault path on
+    // rules; the pipeline must agree with the per-fault oracle on
     // faults that come and go mid-stream.
     for (const auto &c : cases()) {
         if (c.name != "reynolds" && c.name != "raw")
@@ -203,84 +202,23 @@ TEST(SeqFaultParallelEquiv, TransientWindowMatches)
 
 TEST(SeqFaultParallelEquiv, Lanes512TakesPerFaultPath)
 {
-    // At the full SIMD block width there are no spare lanes to
-    // multiplex into; the knob must fall through untouched.
+    // Above 256 lanes one fault fills the widest kernel block, so the
+    // pipeline replays each class alone instead of in lane batches.
     const auto cs = cases();
     const Case &c = cs[1]; // translator
-    fault::SeqCampaignOptions opts;
-    opts.symbols = 12;
-    opts.lanes = 512;
-    opts.seed = 17;
-    opts.jobs = 2;
-    const auto on = runWith(c, opts, true);
-    const auto off = runWith(c, opts, false);
-    EXPECT_FALSE(on.faultBatch);
-    expectIdentical(on, off);
-}
-
-TEST(SeqFaultParallelEquiv, SeqDominanceKnobInvariant)
-{
-    // The sequential collapse rules are a pure work saving: toggling
-    // them must not move a single verdict, on either path.
-    for (const auto &c : cases()) {
-        if (c.name != "translator" && c.name != "raw")
-            continue;
-        SCOPED_TRACE(c.name);
+    for (const int lanes : {320, 512}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
         fault::SeqCampaignOptions opts;
-        opts.symbols = 24;
-        opts.lanes = 64;
-        opts.seed = 19;
+        opts.symbols = 12;
+        opts.lanes = lanes;
+        opts.seed = 17;
         opts.jobs = 2;
-        for (bool batch : {true, false}) {
-            opts.seqDominance = true;
-            const auto with = runWith(c, opts, batch);
-            opts.seqDominance = false;
-            const auto without = runWith(c, opts, batch);
-            expectIdentical(with, without);
-        }
+        const auto on = runWith(c, opts, true);
+        const auto off = runWith(c, opts, false);
+        EXPECT_FALSE(on.faultBatch);
+        EXPECT_EQ(on.batches, 0);
+        expectIdentical(on, off);
     }
-}
-
-TEST(SeqFaultParallelEquiv, ContextMemoResume)
-{
-    const auto cs = cases();
-    const Case &c = cs[1]; // translator
-    fault::SeqCampaignOptions opts;
-    opts.symbols = 16;
-    opts.lanes = 64;
-    opts.seed = 23;
-    opts.jobs = 2;
-
-    fault::SeqCampaignContext ctx;
-    const auto r16 = runWith(c, opts, true, &ctx);
-    const auto f16 = runWith(c, opts, true);
-    expectIdentical(r16, f16);
-    EXPECT_EQ(ctx.memoHits(), 0);
-    EXPECT_GT(ctx.memoMisses(), 0);
-    EXPECT_EQ(r16.memoMisses, ctx.memoMisses());
-
-    // Extending the stream resumes every batch from its snapshot and
-    // still lands bit-identical to a cold full-length run.
-    opts.symbols = 32;
-    const auto r32 = runWith(c, opts, true, &ctx);
-    const auto f32 = runWith(c, opts, true);
-    expectIdentical(r32, f32);
-    EXPECT_GT(ctx.memoHits(), 0);
-    EXPECT_GT(r32.memoHits, 0);
-
-    // Shrinking the stream cannot reuse the longer trace: the context
-    // rebuilds and the shorter campaign still matches the cold run.
-    opts.symbols = 16;
-    const auto r16b = runWith(c, opts, true, &ctx);
-    expectIdentical(r16b, f16);
-
-    // A changed option that enters the memo key also forces a
-    // rebuild rather than a stale resume.
-    opts.symbols = 16;
-    opts.seed = 29;
-    const auto rs = runWith(c, opts, true, &ctx);
-    const auto fs = runWith(c, opts, true);
-    expectIdentical(rs, fs);
 }
 
 } // namespace

@@ -337,17 +337,20 @@ TEST(Scheduler, SeqBatchKnobsStayOutOfCacheKeyAndVerdict)
     opts.symbols = 48;
     opts.seed = 7;
 
-    // The batching/collapse knobs are verdict-invariant work savings,
-    // so the canonical config (the cache key) must not mention them:
-    // a client toggling them keeps hitting the same entry.
+    // Lane batching and collapsing are chosen by the pipeline (the
+    // replay route by lane width, which the key already carries) and
+    // the jobs count only splits the work, so the canonical config
+    // (the cache key) mentions none of them: a client changing jobs
+    // keeps hitting the same entry.
     const std::string key =
         fault::canonicalSeqCampaignConfig(opts, spec);
     fault::SeqCampaignOptions toggled = opts;
-    toggled.faultBatch = !toggled.faultBatch;
-    toggled.seqDominance = !toggled.seqDominance;
+    opts.jobs = 1;
+    toggled.jobs = 4;
     EXPECT_EQ(key, fault::canonicalSeqCampaignConfig(toggled, spec));
     EXPECT_EQ(key.find("batch"), std::string::npos);
     EXPECT_EQ(key.find("dominance"), std::string::npos);
+    EXPECT_EQ(key.find("jobs"), std::string::npos);
 
     Scheduler sched(schedOpts(1));
     const SubmitOutcome cold =
@@ -358,8 +361,8 @@ TEST(Scheduler, SeqBatchKnobsStayOutOfCacheKeyAndVerdict)
     ASSERT_TRUE(sched.wait(cold.id, &coldInfo));
     ASSERT_EQ(coldInfo.state, JobState::Done) << coldInfo.error;
 
-    // Warm submit with the opposite knob settings: same key, served
-    // from cache, byte-identical verdict.
+    // Warm submit at another jobs count: same key, served from
+    // cache, byte-identical verdict.
     const SubmitOutcome warm =
         sched.submit(seqJob(net, spec, "a", toggled));
     ASSERT_TRUE(warm.accepted);
@@ -693,9 +696,9 @@ TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
         << (cold.find("error") ? cold.find("error")->asString() : "");
     EXPECT_FALSE(cold.find("cache_hit")->asBool());
 
-    // Opposite knob settings from a fresh connection: the knobs are
-    // not part of the canonical config, so this is a cache hit with
-    // the identical verdict bytes.
+    // Opposite settings of the retired knob keys from a fresh
+    // connection: the protocol ignores them (old clients still send
+    // them), so this is a cache hit with the identical verdict bytes.
     Client again(path_);
     const jsonl::Value warm =
         again.submitAndWait(seqSubmit(false, false));

@@ -6,8 +6,9 @@
  * `scal_cli merge` and the server's orchestrated big-job path rest
  * on. Plus merge-time validation (foreign, duplicate, missing and
  * incomplete partials are rejected with diagnostics), the system-
- * campaign shard path, the worker-argv serialization, and the
- * hardened-realization auto-skip of sequential dominance.
+ * campaign shard path, the worker-argv serialization, the
+ * hardened-realization auto-skip of sequential dominance, and the
+ * tail counters a merge reports.
  */
 
 #include <algorithm>
@@ -259,21 +260,34 @@ TEST(ShardMerge, SystemCampaignShardsMerge)
         system::runScalCampaign(wl, op, opts);
     const std::string want = system::systemResultJson(ref);
 
-    std::vector<std::vector<std::uint8_t>> partials;
-    for (int k = 0; k < 3; ++k) {
-        fault::CheckpointOptions ckpt;
-        ckpt.every = 4; // exercise mid-shard snapshots too
-        ckpt.sink = [](const std::vector<std::uint8_t> &, bool) {};
-        partials.push_back(system::runSystemCampaignShard(
-                               wl, op, /*checked=*/true, opts, {k, 3},
-                               ckpt)
-                               .partial);
+    const auto shardsOf = [&](bool checked, int n) {
+        std::vector<std::vector<std::uint8_t>> parts;
+        for (int k = 0; k < n; ++k) {
+            fault::CheckpointOptions ckpt;
+            ckpt.every = 4; // exercise mid-shard snapshots too
+            ckpt.sink = [](const std::vector<std::uint8_t> &, bool) {};
+            parts.push_back(system::runSystemCampaignShard(
+                                wl, op, checked, opts, {k, n}, ckpt)
+                                .partial);
+        }
+        return parts;
+    };
+    for (const int n : {2, 3}) {
+        const system::SystemCampaignResult merged =
+            system::mergeSystemPartials(op, /*checked=*/true,
+                                        shardsOf(true, n));
+        EXPECT_EQ(system::systemResultJson(merged), want) << n;
+        EXPECT_EQ(merged.total, ref.total);
+        EXPECT_EQ(merged.silentFaults, ref.silentFaults);
     }
-    const system::SystemCampaignResult merged =
-        system::mergeSystemPartials(op, /*checked=*/true, partials);
-    EXPECT_EQ(system::systemResultJson(merged), want);
-    EXPECT_EQ(merged.total, ref.total);
-    EXPECT_EQ(merged.silentFaults, ref.silentFaults);
+    const std::vector<std::vector<std::uint8_t>> partials =
+        shardsOf(true, 3);
+
+    // The unprotected CPU merges too.
+    EXPECT_EQ(system::systemResultJson(system::mergeSystemPartials(
+                  op, /*checked=*/false, shardsOf(false, 2))),
+              system::systemResultJson(
+                  system::runUncheckedCampaign(wl, op, opts)));
 
     // checked mismatch at merge is a config mismatch.
     EXPECT_THROW(
@@ -313,17 +327,14 @@ TEST(ShardMerge, WorkerArgsRoundTripConfig)
     EXPECT_TRUE(has(sargs, "3"));
     EXPECT_TRUE(has(sargs, "--hold"));
     EXPECT_TRUE(has(sargs, "1,2"));
-    // Default seq-dominance serializes to nothing; the two non-default
-    // states serialize to their explicit flags.
-    EXPECT_FALSE(has(sargs, "--seq-dominance"));
-    EXPECT_FALSE(has(sargs, "--no-seq-dominance"));
-    sopts.seqDominance = false;
-    EXPECT_TRUE(has(fault::seqCampaignWorkerArgs(sopts, spec),
-                    "--no-seq-dominance"));
-    sopts.seqDominance = true;
-    sopts.seqDominanceForce = true;
-    EXPECT_TRUE(has(fault::seqCampaignWorkerArgs(sopts, spec),
-                    "--seq-dominance"));
+    // The retired knobs have no flags left to serialize.
+    for (const auto *flag :
+         {"--dominance", "--no-dominance", "--seq-fault-batch",
+          "--no-seq-fault-batch", "--seq-dominance",
+          "--no-seq-dominance"}) {
+        EXPECT_FALSE(has(cargs, flag)) << flag;
+        EXPECT_FALSE(has(sargs, flag)) << flag;
+    }
 }
 
 TEST(ShardMerge, SeqDominanceAutoSkipOnHardenedRealizations)
@@ -338,24 +349,90 @@ TEST(ShardMerge, SeqDominanceAutoSkipOnHardenedRealizations)
     EXPECT_EQ(phi, hard.phiInput);
     EXPECT_FALSE(netlist::looksSelfDualHardened(rawSeqMachine()));
 
-    // Auto-skip is verdict-neutral: forcing the sequential dominance
-    // rules on (what `--seq-dominance` does) must change nothing —
-    // E23 measured zero pruned classes on hardened realizations, so
-    // the pass is pure analysis cost there.
+    // Auto-skip is verdict-neutral: the campaign that skips the
+    // sequential dominance rules on the hardened realization matches
+    // the uncollapsed per-fault reference — E23 measured zero pruned
+    // classes there, so the pass would be pure analysis cost.
     fault::SeqCampaignOptions def;
     def.symbols = 24;
     def.jobs = 2;
-    fault::SeqCampaignOptions forced = def;
-    forced.seqDominanceForce = true;
-
     const fault::SeqCampaignResult a = fault::runSequentialCampaign(
         hard.net, hard.campaignSpec(), def);
-    const fault::SeqCampaignResult b = fault::runSequentialCampaign(
-        hard.net, hard.campaignSpec(), forced);
+    const fault::SeqCampaignResult b = fault::referenceSequentialCampaign(
+        hard.net, hard.campaignSpec(), def);
     EXPECT_EQ(fault::seqCampaignVerdictJson(hard.net, a),
               fault::seqCampaignVerdictJson(hard.net, b));
-    EXPECT_EQ(a.prunedClasses, b.prunedClasses);
-    EXPECT_EQ(a.prunedFaults, b.prunedFaults);
+}
+
+TEST(ShardMerge, MergedTailCountsMatchInline)
+{
+    // A merge reports the same class counts and deterministic stats
+    // as the inline run, whatever the split.
+    util::Rng rng(0x51a6d4u);
+    const netlist::Netlist net =
+        ingest::hardenNetlist(testing::randomNetlist(6, 20, rng)).net;
+    fault::CampaignOptions copts;
+    copts.maxPatterns = 1024;
+    copts.jobs = 2;
+    copts.checkAlternating = false;
+    const fault::CampaignResult inl =
+        fault::runAlternatingCampaign(net, copts);
+    EXPECT_GT(inl.fp.classes, 0);
+    for (const int shards : {1, 3}) {
+        std::vector<std::vector<std::uint8_t>> partials;
+        for (int k = 0; k < shards; ++k)
+            partials.push_back(
+                fault::runAlternatingCampaignShard(net, copts, {k, shards})
+                    .partial);
+        const fault::CampaignResult m =
+            fault::mergeCampaignPartials(net, partials);
+        SCOPED_TRACE("comb shards=" + std::to_string(shards));
+        EXPECT_TRUE(m.fp.enabled);
+        EXPECT_EQ(m.fp.totalFaults, inl.fp.totalFaults);
+        EXPECT_EQ(m.fp.classes, inl.fp.classes);
+        EXPECT_EQ(m.fp.prunedClasses, inl.fp.prunedClasses);
+        EXPECT_EQ(m.fp.prunedFaults, inl.fp.prunedFaults);
+        EXPECT_EQ(m.fp.flipClasses, inl.fp.flipClasses);
+        EXPECT_EQ(m.fp.cptClasses, inl.fp.cptClasses);
+        EXPECT_EQ(m.fp.tapClasses, inl.fp.tapClasses);
+        EXPECT_EQ(m.fp.simClasses, inl.fp.simClasses);
+        EXPECT_EQ(m.stats.totalFaults, inl.stats.totalFaults);
+        EXPECT_EQ(m.stats.simulatedFaults, inl.stats.simulatedFaults);
+        EXPECT_EQ(m.stats.patternsApplied, inl.stats.patternsApplied);
+        EXPECT_EQ(m.stats.collapseRatio, inl.stats.collapseRatio);
+    }
+
+    const ingest::HardenedCircuit hard =
+        ingest::hardenNetlist(rawSeqMachine());
+    const fault::SeqCampaignSpec spec = hard.campaignSpec();
+    for (const int lanes : {64, 512}) {
+        fault::SeqCampaignOptions sopts;
+        sopts.symbols = 16;
+        sopts.lanes = lanes;
+        sopts.jobs = 2;
+        const fault::SeqCampaignResult inl2 =
+            fault::runSequentialCampaign(hard.net, spec, sopts);
+        EXPECT_GT(inl2.classes, 0);
+        for (const int shards : {1, 3}) {
+            std::vector<std::vector<std::uint8_t>> partials;
+            for (int k = 0; k < shards; ++k)
+                partials.push_back(fault::runSequentialCampaignShard(
+                                       hard.net, spec, sopts, {k, shards})
+                                       .partial);
+            const fault::SeqCampaignResult m =
+                fault::mergeSeqCampaignPartials(hard.net, partials);
+            SCOPED_TRACE("seq lanes=" + std::to_string(lanes) +
+                         " shards=" + std::to_string(shards));
+            EXPECT_EQ(m.faultBatch, inl2.faultBatch);
+            EXPECT_EQ(m.classes, inl2.classes);
+            EXPECT_EQ(m.prunedClasses, inl2.prunedClasses);
+            EXPECT_EQ(m.prunedFaults, inl2.prunedFaults);
+            EXPECT_EQ(m.batchedClasses, inl2.batchedClasses);
+            EXPECT_EQ(m.stats.totalFaults, inl2.stats.totalFaults);
+            EXPECT_EQ(m.stats.simulatedFaults, inl2.stats.simulatedFaults);
+            EXPECT_EQ(m.stats.patternsApplied, inl2.stats.patternsApplied);
+        }
+    }
 }
 
 } // namespace

@@ -496,7 +496,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
                                           /*drop_detected=*/true);
         std::vector<fault::SeqVerdictAccumulator> narrow;
         for (int w = 0; w < W; ++w)
-            narrow.emplace_back(mask[w], true);
+            narrow.emplace_back(&mask[w], 1, true);
 
         for (long s = 0; s < 40; ++s) {
             std::uint64_t alarm[W], wrong[W];
@@ -508,7 +508,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
             }
             bool narrow_any = false;
             for (int w = 0; w < W; ++w)
-                if (narrow[w].addSymbol(s, alarm[w], wrong[w]))
+                if (narrow[w].addSymbol(s, &alarm[w], &wrong[w]))
                     narrow_any = true;
             const bool wide_more = wide.addSymbol(s, alarm, wrong);
             bool narrow_escape = false;
@@ -524,7 +524,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
             }
             EXPECT_EQ(wide_more, narrow_any);
             for (int w = 0; w < W; ++w) {
-                ASSERT_EQ(wide.alarmedWord(w), narrow[w].alarmedLanes())
+                ASSERT_EQ(wide.alarmedWord(w), narrow[w].alarmedWord(0))
                     << "s=" << s << " w=" << w;
                 for (int l = 0; l < 64; ++l)
                     ASSERT_EQ(wide.laneFirstAlarm(64 * w + l),

@@ -29,14 +29,12 @@
  *                     [--seed N] [--max-patterns N] [--progress]
  *                     [--lanes 64|256|512] [--simd portable|avx2|avx512]
  *                     [--[no-]fault-batch] [--[no-]cpt]
- *                     [--[no-]dominance]
  *                                        exhaustive stuck-at campaign
  *   scal_cli seq-campaign <netlist|-> [--symbols N] [--lanes N]
  *                     [--seed N] [--jobs N] [--window S:E] [--no-drop]
  *                     [--phi NAME] [--data I,J,..] [--alt I,J,..]
  *                     [--code-pairs P,Q,..] [--hold I,J,..]
- *                     [--simd portable|avx2|avx512] [--[no-]dominance]
- *                     [--[no-]seq-fault-batch] [--[no-]seq-dominance]
+ *                     [--simd portable|avx2|avx512]
  *                     [--json] [--progress]
  *                                        sequential alternating campaign
  *
@@ -44,16 +42,11 @@
  * --lanes picks patterns/streams per packed replay (0 = widest the
  * resolved target supports), --simd pins the kernel build (default
  * auto: the SCAL_SIMD env var, else the widest the CPU supports).
- * The fault-parallel fast paths (all default on) are performance
+ * The combinational fast paths (both default on) are performance
  * knobs too: --fault-batch packs disjoint-cone fault classes into one
- * simulation pass, --cpt classifies fanout-free-region-interior
- * faults by critical-path tracing with no replay, and --dominance
- * prunes classes structurally forced Untestable. The sequential
- * campaign has its own pair: --seq-fault-batch multiplexes several
- * faults into disjoint lane groups of one wide sequential replay, and
- * --seq-dominance extends collapsing with sequential constant
- * propagation and time-frame Dff equivalences. Verdicts are
- * bit-identical across lanes, simd, jobs and all of these flags.
+ * simulation pass and --cpt classifies fanout-free-region-interior
+ * faults by critical-path tracing with no replay. Verdicts are
+ * bit-identical across lanes, simd, jobs, shards and both flags.
  *   scal_cli tests    <netlist|-> <line> Theorem 3.2 test derivation
  *   scal_cli repair   <netlist|-> <line> [depth]   Figure 3.7 repair
  *   scal_cli convert-minority <netlist|->          Theorem 6.2
@@ -668,10 +661,6 @@ parseCampaignFlags(int argc, char **argv, int first)
             flags.opts.cpt = true;
         else if (arg == "--no-cpt")
             flags.opts.cpt = false;
-        else if (arg == "--dominance")
-            flags.opts.dominance = true;
-        else if (arg == "--no-dominance")
-            flags.opts.dominance = false;
         else if (arg == "--keep-unsafe")
             flags.opts.keepUnsafeExamples =
                 static_cast<int>(number("--keep-unsafe"));
@@ -786,15 +775,19 @@ printCampaignResult(const Netlist &net,
     return res.selfChecking() ? 0 : 2;
 }
 
-/** Shard / checkpoint / resume mode of the combinational campaign. */
+/**
+ * Shard / checkpoint / resume mode of either campaign: run the shard
+ * through @p run, report it, and for the unsplit run print the merged
+ * verdict (with the run's own stats) through @p print.
+ */
+template <typename RunFn, typename MergeFn, typename PrintFn>
 int
-cmdCampaignShard(const Netlist &net, const CampaignFlags &flags)
+runShardMode(const ShardArgs &sh, RunFn run, MergeFn merge,
+             PrintFn print)
 {
-    const ShardArgs &sh = flags.sh;
     ShardSession session(sh);
     try {
-        const fault::ShardOutcome out = fault::runAlternatingCampaignShard(
-            net, flags.opts, sh.shard, session.ckpt);
+        const fault::ShardOutcome out = run(session.ckpt);
         session.dropCheckpoint();
         std::cerr << "shard " << sh.shard.str() << ": "
                   << out.shardClasses << " classes / " << out.shardFaults
@@ -804,10 +797,9 @@ cmdCampaignShard(const Netlist &net, const CampaignFlags &flags)
             std::cerr << "partial written to " << sh.partialPath << "\n";
         if (sh.shard.active())
             return 0; // verdict is judged at merge
-        const fault::CampaignResult res =
-            fault::mergeCampaignPartials(net, {out.partial});
-        return printCampaignResult(net, res, flags.json, flags.verbose,
-                                   sh.verdictOnly);
+        auto res = merge(out.partial);
+        res.stats = out.stats; // the whole run: shard 1/1
+        return print(res);
     } catch (const engine::CampaignCancelled &) {
         session.printResumeHint();
         throw;
@@ -817,11 +809,22 @@ cmdCampaignShard(const Netlist &net, const CampaignFlags &flags)
 int
 cmdCampaign(const Netlist &net, const CampaignFlags &flags)
 {
-    if (flags.sh.enabled())
-        return cmdCampaignShard(net, flags);
-    const auto res = fault::runAlternatingCampaign(net, flags.opts);
-    return printCampaignResult(net, res, flags.json, flags.verbose,
-                               flags.sh.verdictOnly);
+    const auto print = [&](const fault::CampaignResult &res) {
+        return printCampaignResult(net, res, flags.json, flags.verbose,
+                                   flags.sh.verdictOnly);
+    };
+    if (!flags.sh.enabled())
+        return print(fault::runAlternatingCampaign(net, flags.opts));
+    return runShardMode(
+        flags.sh,
+        [&](const fault::CheckpointOptions &ckpt) {
+            return fault::runAlternatingCampaignShard(
+                net, flags.opts, flags.sh.shard, ckpt);
+        },
+        [&](const std::vector<std::uint8_t> &partial) {
+            return fault::mergeCampaignPartials(net, {partial});
+        },
+        print);
 }
 
 struct SeqCampaignFlags
@@ -903,21 +906,6 @@ parseSeqCampaignFlags(int argc, char **argv, int first)
             flags.opts.simd = parseSimdFlag(value("--simd"));
         else if (arg == "--no-drop")
             flags.opts.dropDetected = false;
-        else if (arg == "--dominance")
-            flags.opts.dominance = true;
-        else if (arg == "--no-dominance")
-            flags.opts.dominance = false;
-        else if (arg == "--seq-fault-batch")
-            flags.opts.faultBatch = true;
-        else if (arg == "--no-seq-fault-batch")
-            flags.opts.faultBatch = false;
-        else if (arg == "--seq-dominance") {
-            // Also *forces* the pass on netlists the campaign would
-            // auto-skip it for (verified hardened realizations).
-            flags.opts.seqDominance = true;
-            flags.opts.seqDominanceForce = true;
-        } else if (arg == "--no-seq-dominance")
-            flags.opts.seqDominance = false;
         else if (arg == "--phi")
             flags.phiName = value("--phi");
         else if (arg == "--phi-index")
@@ -1035,45 +1023,26 @@ printSeqCampaignResult(const Netlist &net,
     return res.selfChecking() ? 0 : 2;
 }
 
-/** Shard / checkpoint / resume mode of the sequential campaign. */
-int
-cmdSeqCampaignShard(const Netlist &net,
-                    const fault::SeqCampaignSpec &spec,
-                    const SeqCampaignFlags &flags)
-{
-    const ShardArgs &sh = flags.sh;
-    ShardSession session(sh);
-    try {
-        const fault::ShardOutcome out = fault::runSequentialCampaignShard(
-            net, spec, flags.opts, sh.shard, session.ckpt);
-        session.dropCheckpoint();
-        std::cerr << "shard " << sh.shard.str() << ": "
-                  << out.shardClasses << " classes / " << out.shardFaults
-                  << " faults (" << out.units << " units, "
-                  << out.resumedUnits << " resumed)\n";
-        if (!sh.partialPath.empty())
-            std::cerr << "partial written to " << sh.partialPath << "\n";
-        if (sh.shard.active())
-            return 0; // verdict is judged at merge
-        const fault::SeqCampaignResult res =
-            fault::mergeSeqCampaignPartials(net, {out.partial});
-        return printSeqCampaignResult(net, res, flags.json,
-                                      sh.verdictOnly);
-    } catch (const engine::CampaignCancelled &) {
-        session.printResumeHint();
-        throw;
-    }
-}
-
 int
 cmdSeqCampaign(const Netlist &net, const SeqCampaignFlags &flags)
 {
     const fault::SeqCampaignSpec spec = resolvedSeqSpec(net, flags);
-    if (flags.sh.enabled())
-        return cmdSeqCampaignShard(net, spec, flags);
-    const auto res = fault::runSequentialCampaign(net, spec, flags.opts);
-    return printSeqCampaignResult(net, res, flags.json,
-                                  flags.sh.verdictOnly);
+    const auto print = [&](const fault::SeqCampaignResult &res) {
+        return printSeqCampaignResult(net, res, flags.json,
+                                      flags.sh.verdictOnly);
+    };
+    if (!flags.sh.enabled())
+        return print(fault::runSequentialCampaign(net, spec, flags.opts));
+    return runShardMode(
+        flags.sh,
+        [&](const fault::CheckpointOptions &ckpt) {
+            return fault::runSequentialCampaignShard(
+                net, spec, flags.opts, flags.sh.shard, ckpt);
+        },
+        [&](const std::vector<std::uint8_t> &partial) {
+            return fault::mergeSeqCampaignPartials(net, {partial});
+        },
+        print);
 }
 
 server::jsonl::Value
@@ -1217,8 +1186,6 @@ cmdServerSeqCampaign(const CommonArgs &common, const Netlist &net,
     cfg.emplace_back("window",
                      Value(std::to_string(flags.opts.faultStart) + ":" +
                            std::to_string(flags.opts.faultEnd)));
-    cfg.emplace_back("seq_fault_batch", Value(flags.opts.faultBatch));
-    cfg.emplace_back("seq_dominance", Value(flags.opts.seqDominance));
     cfg.emplace_back("phi", Value(flags.phiName));
     cfg.emplace_back("hold", indexListValue(flags.spec.holdInputs));
     cfg.emplace_back("data", indexListValue(flags.spec.dataOutputs));
