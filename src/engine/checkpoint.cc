@@ -10,7 +10,9 @@ namespace
 {
 
 constexpr char kMagic[7] = {'S', 'C', 'A', 'L', 'S', 'N', 'P'};
-constexpr std::uint8_t kVersion = 2;
+/** v3: seq payloads no longer carry the fault-batch flag (every
+ *  seq shard lane-batches); v2 and older files are rejected. */
+constexpr std::uint8_t kVersion = 3;
 
 [[noreturn]] void
 fail(const std::string &name, std::size_t offset, const std::string &why)

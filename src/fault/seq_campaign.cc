@@ -71,10 +71,7 @@ foldVerdict(const SeqVerdictAccumulator &acc, int lanes)
 
 /**
  * Classify faults[begin, end) one at a time against the shared trace
- * (the single-fault replay step: used where one fault fills the
- * kernel block, and by the reference). Each call owns its
- * SeqFaultSimulator; everything it reads is immutable, so a
- * fault's verdict cannot depend on which chunk simulated it. The
+ * with the single-fault kernel: the reference's replay step. The
  * packed kernel only reports periods whose outputs differ from the
  * trace; undelivered halves of a symbol are read from the trace
  * (bit-identical by the kernel's contract), and symbols with no
@@ -86,8 +83,7 @@ std::vector<RepVerdict>
 classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
                  const std::vector<Fault> &faults, std::size_t begin,
                  std::size_t end, const SeqCampaignOptions &opts,
-                 engine::ProgressTracker *progress,
-                 const std::uint8_t *pruned = nullptr)
+                 engine::ProgressTracker *progress)
 {
     sim::SeqFaultSimulator fsim(trace);
     const int no = trace.flat().numOutputs();
@@ -101,12 +97,6 @@ classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
     for (std::size_t k = begin; k < end; ++k) {
         if (opts.cancel && opts.cancel->stopRequested())
             throw engine::CampaignCancelled();
-        // Dominance-pruned class: the faulty machine is
-        // trace-identical to the fault-free one (stuck value equals a
-        // structural constant, or the line reaches no output), so the
-        // default verdict — Untestable, no alarms — is exact.
-        if (pruned && pruned[k])
-            continue;
         SeqVerdictAccumulator acc(rs.laneMask.data(), W,
                                   opts.dropDetected);
         long pending = -1;
@@ -262,9 +252,10 @@ struct SeqBatches
 };
 
 /**
- * Replay plan batches [begin, end). Mirrors classifySeqChunk: each
- * call owns its simulator, reads only immutable shared state, and
- * folds through the same accumulator.
+ * Replay plan batches [begin, end). Each call owns its simulator and
+ * reads only immutable shared state, so a fault's verdict cannot
+ * depend on which chunk simulated it; verdicts fold through the same
+ * accumulator as the reference's classifySeqChunk.
  */
 BatchChunkOut
 classifySeqBatchChunk(const sim::SeqGoodTrace &trace,
@@ -478,19 +469,16 @@ fillTail(SeqCampaignResult &r, const shard_detail::SeqPayload &p)
     r.prunedFaults = p.prunedFaults;
     r.batchedClasses = p.batchedClasses;
     r.batches = p.batches;
-    r.faultBatch = p.faultBatch;
+    r.faultBatch = true; // the pipeline always lane-batches
 }
 
 /**
  * One shard of the seq pipeline over the collapsed class space, a
  * pure function of (netlist, config), so every process derives the
- * same cost-weighted contiguous class slice. The replay step is
- * chosen by lane width: while a fault's lane group leaves room for
- * another in the widest kernel block (lanes <= 256), classes are
- * packed into lane batches (sim/seq_batch_sim) and batches are the
- * work units; above that one fault fills the block and each class is
- * replayed alone by the single-fault kernel (measured faster there
- * than one-group batches, EXPERIMENTS E23). Verdicts are
+ * same cost-weighted contiguous class slice. The slice's unpruned
+ * classes are packed into lane batches (sim/seq_batch_sim), as many
+ * fault lane groups per widest kernel block as fit — one above 256
+ * lanes — and batches are the work units. Verdicts are
  * batch-composition-independent, which licenses per-shard planning.
  */
 class SeqSlice : public shard_detail::SliceWork
@@ -502,11 +490,9 @@ class SeqSlice : public shard_detail::SliceWork
         : net_(net), spec_(spec), opts_(opts),
           st_(resolveSeqStream(opts)), ropts_(resolvedOptions()),
           rs_(resolveSeqSpec(net, spec, st_.lanes, &hold_)),
-          batched_(2 * st_.laneWords <= sim::kMaxLaneWords),
           colOpts_(seqCollapseOptions(net, opts)),
           col_(collapseFaults(net, colOpts_)), flat_(net),
-          trace_(flat_, spec.phiInput,
-                 batched_ ? sim::kMaxLaneWords : st_.laneWords, st_.simd),
+          trace_(flat_, spec.phiInput, sim::kMaxLaneWords, st_.simd),
           verdicts_(col_.representatives.size())
     {
         buildTrace(trace_, net.numInputs(), spec, rs_, hold_, ropts_);
@@ -536,35 +522,29 @@ class SeqSlice : public shard_detail::SliceWork
         for (std::size_t i = 0; i < live.size(); ++i) {
             if (!inSlice(static_cast<std::size_t>(live[i])))
                 continue;
-            ++simulated_;
-            if (batched_) {
-                sb_.sites.push_back(sites[i]);
-                sb_.siteRep.push_back(live[i]);
-            }
+            sb_.sites.push_back(sites[i]);
+            sb_.siteRep.push_back(live[i]);
         }
-        if (batched_)
-            sb_.plan = sim::planSeqBatches(flat_, sb_.sites, st_.laneWords,
-                                           sim::kMaxLaneWords);
+        sb_.plan = sim::planSeqBatches(flat_, sb_.sites, st_.laneWords,
+                                       sim::kMaxLaneWords);
         for (const int c : col_.classOf)
             faultsInSlice_ += inSlice(static_cast<std::size_t>(c));
     }
 
-    std::uint64_t units() const override
-    {
-        return batched_ ? sb_.plan.batches.size() : c1_ - c0_;
-    }
+    std::uint64_t units() const override { return sb_.plan.batches.size(); }
     std::uint64_t classesIn(std::uint64_t u0,
                             std::uint64_t u1) const override
     {
-        if (!batched_)
-            return u1 - u0;
         std::uint64_t n = 0;
         for (std::uint64_t b = u0; b < u1; ++b)
             n += sb_.plan.batches[b].size();
         return n;
     }
     std::uint64_t faults() const override { return faultsInSlice_; }
-    std::uint64_t simulatedClasses() const override { return simulated_; }
+    std::uint64_t simulatedClasses() const override
+    {
+        return sb_.sites.size();
+    }
     std::uint64_t patterns() const override
     {
         return static_cast<std::uint64_t>(opts_.symbols) *
@@ -575,41 +555,24 @@ class SeqSlice : public shard_detail::SliceWork
     classify(engine::CampaignEngine &eng, std::uint64_t u0,
              std::uint64_t u1) override
     {
-        if (batched_) {
-            const std::vector<std::uint64_t> w(
-                sb_.plan.weights.begin() + static_cast<long>(u0),
-                sb_.plan.weights.begin() + static_cast<long>(u1));
-            const auto outs = eng.mapWeightedChunks<BatchChunkOut>(
-                w, [&](engine::Chunk chunk, std::size_t) {
-                    return classifySeqBatchChunk(
-                        trace_, sb_, rs_, u0 + chunk.begin,
-                        u0 + chunk.end, ropts_, &eng.progress());
-                });
-            for (const BatchChunkOut &o : outs) {
-                periodsSimulated_ += o.periodsSimulated;
-                periodsSkipped_ += o.periodsSkipped;
-                retiredEarly_ += o.retiredEarly;
-                for (const auto &[rep, rv] : o.verdicts)
-                    verdicts_[static_cast<std::size_t>(rep)] = rv;
-            }
-            return;
-        }
-        const std::size_t r0 = c0_ + u0;
-        const std::uint8_t *pruned =
-            col_.pruned.empty() ? nullptr : col_.pruned.data();
-        const auto outs = eng.mapChunks<std::vector<RepVerdict>>(
+        // Equal-count chunks of batches: a batch's plan weight (root
+        // cone sizes) predicts its first replay period, not how long
+        // its faults stay live, and weight-balanced chunks measured
+        // slower at jobs=2 (EXPERIMENTS E23).
+        const auto outs = eng.mapChunks<BatchChunkOut>(
             u1 - u0, [&](engine::Chunk chunk, std::size_t) {
-                return classifySeqChunk(trace_, rs_, col_.representatives,
-                                        r0 + chunk.begin, r0 + chunk.end,
-                                        ropts_, &eng.progress(), pruned);
+                return classifySeqBatchChunk(trace_, sb_, rs_,
+                                             u0 + chunk.begin,
+                                             u0 + chunk.end, ropts_,
+                                             &eng.progress());
             });
-        std::size_t r = r0;
-        for (const std::vector<RepVerdict> &chunk : outs)
-            for (const RepVerdict &rv : chunk) {
-                periodsSimulated_ += rv.periodsSimulated;
-                periodsSkipped_ += rv.periodsSkipped;
-                verdicts_[r++] = rv;
-            }
+        for (const BatchChunkOut &o : outs) {
+            periodsSimulated_ += o.periodsSimulated;
+            periodsSkipped_ += o.periodsSkipped;
+            retiredEarly_ += o.retiredEarly;
+            for (const auto &[rep, rv] : o.verdicts)
+                verdicts_[static_cast<std::size_t>(rep)] = rv;
+        }
     }
 
     engine::SnapshotHeader
@@ -620,8 +583,7 @@ class SeqSlice : public shard_detail::SliceWork
         h.netHash = netlist::contentHash(net_);
         h.configKey = canonicalSeqCampaignConfig(opts_, spec_);
         std::ostringstream sk;
-        sk << "seq;fb=" << (batched_ ? 1 : 0)
-           << ";seqdom=" << (colOpts_.seq ? 1 : 0)
+        sk << "seq;seqdom=" << (colOpts_.seq ? 1 : 0)
            << ";seqtf=" << (colOpts_.seqTimeFrame ? 1 : 0)
            << ";lanes=" << st_.lanes;
         h.shapeKey = sk.str();
@@ -701,17 +663,11 @@ class SeqSlice : public shard_detail::SliceWork
     bool inSlice(std::size_t r) const { return r >= c0_ && r < c1_; }
 
     /** Classes settled by units [0, cursor): the slice's pruned
-     *  classes plus the batches so far (batched route), or the first
-     *  cursor classes of the slice. */
+     *  classes plus the members of the batches so far. */
     std::vector<std::uint8_t>
     doneClasses(std::uint64_t cursor) const
     {
         std::vector<std::uint8_t> done(verdicts_.size(), 0);
-        if (!batched_) {
-            for (std::size_t r = c0_; r < c0_ + cursor; ++r)
-                done[r] = 1;
-            return done;
-        }
         for (std::size_t r = c0_; r < c1_; ++r)
             done[r] = isPruned(r);
         for (std::uint64_t b = 0; b < cursor; ++b)
@@ -737,7 +693,6 @@ class SeqSlice : public shard_detail::SliceWork
         p.prunedFaults = col_.prunedFaults;
         p.batchedClasses = static_cast<int>(sb_.sites.size());
         p.batches = static_cast<int>(sb_.plan.batches.size());
-        p.faultBatch = batched_;
         return p;
     }
 
@@ -748,14 +703,12 @@ class SeqSlice : public shard_detail::SliceWork
     const SeqCampaignOptions ropts_; ///< opts_ with lanes resolved
     std::vector<std::uint8_t> hold_;
     const ResolvedSpec rs_;
-    const bool batched_;
     const CollapseOptions colOpts_;
     const CollapseResult col_;
     const sim::FlatNetlist flat_;
     sim::SeqGoodTrace trace_;
     std::size_t c0_ = 0, c1_ = 0;
     SeqBatches sb_;
-    std::uint64_t simulated_ = 0;
     std::uint64_t faultsInSlice_ = 0;
     /** Per class id; valid for the classes classified so far. */
     std::vector<RepVerdict> verdicts_;
@@ -843,7 +796,6 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
             tail.classes = p.classes;
             tail.prunedClasses = p.prunedClasses;
             tail.prunedFaults = p.prunedFaults;
-            tail.faultBatch = p.faultBatch;
         } else if (p.symbols != result.symbols || p.lanes != result.lanes) {
             throw engine::SnapshotError(
                 name + ": symbol/lane header disagrees with " +

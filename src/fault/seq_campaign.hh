@@ -11,9 +11,9 @@
  * as the combinational ones (fault/shard.hh): fault collapsing,
  * cost-weighted contiguous slices, chunk-ordered merge — the same
  * (netlist, spec, options) triple yields a bit-identical
- * SeqCampaignResult at any jobs count and any shard split. Up to 256
- * lanes several faults share one wide replay in disjoint lane groups
- * (sim/seq_batch_sim); above that each fault is replayed alone.
+ * SeqCampaignResult at any jobs count and any shard split. Faults
+ * share one wide replay in disjoint lane groups (sim/seq_batch_sim):
+ * several per batch up to 256 lanes, one above.
  * referenceSequentialCampaign keeps the uncollapsed per-fault loop as
  * the oracle (tests/test_seq_fault_sim_equiv.cc and
  * tests/test_seq_fault_parallel_equiv.cc assert equality with it and
@@ -171,7 +171,8 @@ struct SeqCampaignResult
      *  Work accounting of the pipeline; all of it is non-deterministic
      *  tail data like the period counters. */
     /** @{ */
-    bool faultBatch = false; ///< the lane-batched replay ran
+    /** The lane-batched pipeline ran (false for the reference). */
+    bool faultBatch = false;
     int classes = 0;         ///< collapse classes (0 when uncollapsed)
     int batchedClasses = 0;  ///< classes replayed lane-batched
     int batches = 0;         ///< lane batches formed

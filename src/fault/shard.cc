@@ -89,7 +89,6 @@ encodeSeqPayload(const SeqPayload &p)
     w.u32(static_cast<std::uint32_t>(p.prunedFaults));
     w.u32(static_cast<std::uint32_t>(p.batchedClasses));
     w.u32(static_cast<std::uint32_t>(p.batches));
-    w.u8(p.faultBatch ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(p.records.size()));
     for (const SeqRecord &r : p.records) {
         w.u32(r.faultIndex);
@@ -121,7 +120,6 @@ decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
     p.prunedFaults = static_cast<int>(r.u32());
     p.batchedClasses = static_cast<int>(r.u32());
     p.batches = static_cast<int>(r.u32());
-    p.faultBatch = r.u8() != 0;
     const std::uint32_t n = r.u32();
     p.records.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {

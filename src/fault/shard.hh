@@ -204,7 +204,6 @@ struct SeqPayload
     int prunedFaults = 0;
     int batchedClasses = 0;
     int batches = 0;
-    bool faultBatch = false;
     std::vector<SeqRecord> records;
 };
 

@@ -111,7 +111,18 @@ class Value
     jsonl::Object object_;
 };
 
-/** Parse exactly one JSON document (trailing whitespace allowed). */
+/**
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level, so the bound keeps a hostile line of brackets from
+ * exhausting the stack; real requests nest three levels at most.
+ */
+inline constexpr int kMaxNestingDepth = 128;
+
+/**
+ * Parse exactly one JSON document (trailing whitespace allowed).
+ * Throws ParseError on malformed input, including nesting deeper than
+ * kMaxNestingDepth (located at the bracket that crosses the limit).
+ */
 Value parse(const std::string &text);
 
 /** Escape a string for embedding inside a JSON document. */

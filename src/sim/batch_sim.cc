@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/cone.hh"
+
 namespace scal::sim
 {
 
@@ -168,32 +170,9 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
     }
 
     // Fanout cones (topo-sorted) and owned outputs per Sim class;
-    // root cones and reachable outputs per Flip/Cpt group.
-    std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
-    std::vector<GateId> stack, cone;
-    auto build_cone = [&](GateId seed) {
-        cone.clear();
-        stack.clear();
-        stack.push_back(seed);
-        seen[seed] = 1;
-        while (!stack.empty()) {
-            const GateId g = stack.back();
-            stack.pop_back();
-            cone.push_back(g);
-            const GateId *cs = flat.consumers(g);
-            for (int k = 0; k < flat.fanoutDegree(g); ++k) {
-                if (!seen[cs[k]]) {
-                    seen[cs[k]] = 1;
-                    stack.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(cone.begin(), cone.end(), [&flat](GateId a, GateId b) {
-            return flat.topoPos(a) < flat.topoPos(b);
-        });
-        for (GateId g : cone)
-            seen[g] = 0;
-    };
+    // root cones and reachable outputs per Flip/Cpt group. Each cone
+    // is copied into the CSR arrays, so none is memoized.
+    FanoutCones cones(flat);
 
     coneOff_.assign(static_cast<std::size_t>(nc) + 1, 0);
     ownOff_.assign(static_cast<std::size_t>(nc) + 1, 0);
@@ -202,7 +181,7 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
             const Fault &f = simFault_[c];
             const GateId seed =
                 f.site.isStem() ? f.site.driver : f.site.consumer;
-            build_cone(seed);
+            const std::vector<GateId> &cone = cones.unionCone(&seed, 1);
             coneData_.insert(coneData_.end(), cone.begin(), cone.end());
             for (GateId g : cone) {
                 const std::int32_t *taps = flat.taps(g);
@@ -220,7 +199,8 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
     groupConeOff_.assign(static_cast<std::size_t>(ng) + 1, 0);
     for (int g = 0; g < ng; ++g) {
         if (flipNeed_[g] || groupCpt_[g]) {
-            build_cone(groupRoots_[g]);
+            const std::vector<GateId> &cone =
+                cones.unionCone(&groupRoots_[g], 1);
             if (flipNeed_[g])
                 groupConeData_.insert(groupConeData_.end(), cone.begin(),
                                       cone.end());
@@ -406,14 +386,12 @@ BatchClassifier::setRange(int group_begin, int group_end)
         for (std::size_t i = 0; i < len; ++i)
             lastBatch_[cone[i]] = b;
     }
-    const FlatNetlist &flat = plan_.flat();
-    const auto topo_less = [&flat](GateId a, GateId b) {
-        return flat.topoPos(a) < flat.topoPos(b);
-    };
+    // Members are cone-disjoint, so each worklist is the plain
+    // concatenation of their cones put back in replay order.
     for (FlipBatch &fb : flipBatches_)
-        std::sort(fb.work.begin(), fb.work.end(), topo_less);
+        sortByTopo(plan_.flat(), fb.work);
     for (Batch &bt : batches_)
-        std::sort(bt.work.begin(), bt.work.end(), topo_less);
+        sortByTopo(plan_.flat(), bt.work);
 }
 
 void

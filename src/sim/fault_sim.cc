@@ -11,7 +11,7 @@ using namespace netlist;
 FaultSimulator::FaultSimulator(const FlatNetlist &flat, int lane_words,
                                SimdTarget simd)
     : flat_(flat), kernels_(&wideKernels(lane_words, simd)),
-      laneWords_(lane_words)
+      laneWords_(lane_words), cones_(flat), scratch_(flat, *kernels_)
 {
     const std::size_t n = static_cast<std::size_t>(flat_.numGates());
     const std::size_t W = static_cast<std::size_t>(laneWords_);
@@ -21,27 +21,7 @@ FaultSimulator::FaultSimulator(const FlatNetlist &flat, int lane_words,
         goodOut_[s].assign(no * W, 0);
         outBuf_[s].assign(no * W, 0);
     }
-    faulty_.assign(n * W, 0);
-    stamp_.assign(n, 0);
-    forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
-    ptrScratch_.assign(
-        static_cast<std::size_t>(std::max(1, flat_.maxArity())), nullptr);
     inbarScratch_.assign(static_cast<std::size_t>(flat_.numInputs()) * W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
-}
-
-void
-FaultSimulator::bumpEpoch()
-{
-    if (++epoch_ == 0) { // wraparound: stale stamps would alias
-        std::fill(stamp_.begin(), stamp_.end(), 0);
-        std::fill(forced_.begin(), forced_.end(), 0);
-        epoch_ = 1;
-    }
 }
 
 void
@@ -93,43 +73,11 @@ FaultSimulator::setAlternatingBlock(const std::vector<std::uint64_t> &inputs)
     evalGood(1, inbarScratch_.data(), nullptr);
 }
 
-const std::vector<GateId> &
-FaultSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        if (++visitEpoch_ == 0) {
-            std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-            visitEpoch_ = 1;
-        }
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
-}
-
 FaultSimulator::InjectPrep
 FaultSimulator::prepareInjections(int phase, const Fault *faults,
                                   std::size_t num_faults)
 {
-    bumpEpoch();
+    scratch_.bump();
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::uint64_t *good = goodLines_[phase].data();
 
@@ -139,33 +87,20 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
     // injections reference the shared constant groups.
     branchInj_.clear();
     tapInj_.clear();
+    seeds_.clear();
     InjectPrep prep;
-    auto note_seed = [&](GateId s) {
-        if (prep.singleSeed == kNoGate)
-            prep.singleSeed = s;
-        else if (prep.singleSeed != s)
-            prep.multiSeed = true;
-    };
     for (std::size_t k = 0; k < num_faults; ++k) {
         const Fault &f = faults[k];
         const std::uint64_t *vg = f.value ? detail::kOnesGroup.data()
                                           : detail::kZeroGroup.data();
         if (f.site.isStem()) {
             const GateId g = f.site.driver;
-            forced_[g] = epoch_;
             const std::uint64_t *gd = good + static_cast<std::size_t>(g) * W;
-            bool diff = false;
-            for (std::size_t w = 0; w < W; ++w)
-                diff |= gd[w] != vg[w];
-            if (diff) {
-                std::uint64_t *fv =
-                    faulty_.data() + static_cast<std::size_t>(g) * W;
-                for (std::size_t w = 0; w < W; ++w)
-                    fv[w] = vg[w];
-                stamp_[g] = epoch_;
-                prep.frontier += flat_.fanoutDegree(g);
-            }
-            note_seed(g);
+            if (std::equal(gd, gd + W, vg))
+                scratch_.force(g);
+            else
+                prep.frontier += scratch_.pin(g, vg);
+            seeds_.push_back(g);
         } else if (f.site.consumer == FaultSite::kOutputTap) {
             tapInj_.push_back({f.site.pin, f.site.driver, vg});
         } else if (flat_.kind(f.site.consumer) != GateKind::Dff) {
@@ -176,7 +111,7 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
                 {f.site.consumer, f.site.driver, f.site.pin, vg});
             prep.lastBranchPos = std::max(
                 prep.lastBranchPos, flat_.topoPos(f.site.consumer));
-            note_seed(f.site.consumer);
+            seeds_.push_back(f.site.consumer);
         }
     }
     return prep;
@@ -189,18 +124,14 @@ FaultSimulator::replayAndAssemble(int phase, const InjectPrep &prep,
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::uint64_t *good = goodLines_[phase].data();
 
-    if (prep.frontier != 0 || !branchInj_.empty()) {
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work, num_work,
-                             branchInj_.data(), branchInj_.size(), nullptr,
-                             0, prep.lastBranchPos, prep.frontier,
-                             ptrScratch_.data());
-    }
+    if (prep.frontier != 0 || !branchInj_.empty())
+        scratch_.replay(good, work, num_work, branchInj_.data(),
+                        branchInj_.size(), nullptr, 0, prep.lastBranchPos,
+                        prep.frontier);
 
     // Output assembly (with output-tap overrides, reference order).
     std::uint64_t *out = outBuf_[phase].data();
-    kernels_->assembleOutputs(flat_, good, faulty_.data(), stamp_.data(),
-                              epoch_, out);
+    scratch_.assemble(good, out);
     for (const TapInjection &t : tapInj_) {
         if (t.outputIdx >= 0 && t.outputIdx < flat_.numOutputs() &&
             flat_.output(t.outputIdx) == t.driver) {
@@ -227,27 +158,23 @@ FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
                             const GateId *work, std::size_t num_work,
                             int phase)
 {
-    bumpEpoch();
+    scratch_.bump();
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::uint64_t *good = goodLines_[phase].data();
-    branchInj_.clear();
-    tapInj_.clear();
     std::int64_t frontier = 0;
     for (std::size_t k = 0; k < num_lines; ++k) {
         const GateId g = lines[k];
-        forced_[g] = epoch_;
+        scratch_.force(g);
         const std::uint64_t *gd = good + static_cast<std::size_t>(g) * W;
-        std::uint64_t *fv = faulty_.data() + static_cast<std::size_t>(g) * W;
+        std::uint64_t *fv = scratch_.line(g);
         for (std::size_t w = 0; w < W; ++w)
             fv[w] = ~gd[w];
-        stamp_[g] = epoch_;
+        scratch_.stamp(g);
         frontier += flat_.fanoutDegree(g);
     }
     if (frontier != 0)
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work, num_work,
-                             branchInj_.data(), branchInj_.size(), nullptr,
-                             0, -1, frontier, ptrScratch_.data());
+        scratch_.replay(good, work, num_work, nullptr, 0, nullptr, 0, -1,
+                        frontier);
 }
 
 void
@@ -256,50 +183,15 @@ FaultSimulator::simulate(int phase, const Fault *faults,
 {
     const InjectPrep prep = prepareInjections(phase, faults, num_faults);
 
+    // Worklist: the memoized cone for a single seed, the sorted union
+    // of cones otherwise.
     const std::vector<GateId> *work = nullptr;
     if (prep.frontier != 0 || !branchInj_.empty()) {
-        // Worklist: the memoized cone for a single seed, the sorted
-        // union of cones otherwise.
-        if (!prep.multiSeed) {
-            work = &cone(prep.singleSeed);
-        } else {
-            if (++visitEpoch_ == 0) {
-                std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-                visitEpoch_ = 1;
-            }
-            unionCone_.clear();
-            stack_.clear();
-            for (std::size_t k = 0; k < num_faults; ++k) {
-                const Fault &f = faults[k];
-                GateId s = kNoGate;
-                if (f.site.isStem())
-                    s = f.site.driver;
-                else if (f.site.consumer != FaultSite::kOutputTap &&
-                         flat_.kind(f.site.consumer) != GateKind::Dff)
-                    s = f.site.consumer;
-                if (s != kNoGate && visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
+        const bool one_seed =
+            std::all_of(seeds_.begin(), seeds_.end(),
+                        [this](GateId g) { return g == seeds_[0]; });
+        work = one_seed ? &cones_.cone(seeds_[0])
+                        : &cones_.unionCone(seeds_.data(), seeds_.size());
     }
 
     replayAndAssemble(phase, prep, work ? work->data() : nullptr,

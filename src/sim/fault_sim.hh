@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/cone.hh"
 #include "sim/flat.hh"
 #include "sim/wide.hh"
 
@@ -172,12 +173,7 @@ class FaultSimulator
     const std::uint64_t *
     lineValue(netlist::GateId g, int phase) const
     {
-        const std::uint64_t *base = stamp_[g] == epoch_
-                                        ? faulty_.data()
-                                        : goodLines_[phase].data();
-        return base +
-               static_cast<std::size_t>(g) *
-                   static_cast<std::size_t>(laneWords_);
+        return scratch_.value(g, goodLines_[phase].data());
     }
 
     /**
@@ -211,8 +207,6 @@ class FaultSimulator
     {
         std::int64_t frontier = 0;
         int lastBranchPos = -1;
-        netlist::GateId singleSeed = netlist::kNoGate;
-        bool multiSeed = false;
     };
 
     void evalGood(int phase, const std::uint64_t *inputs,
@@ -224,8 +218,6 @@ class FaultSimulator
                            std::size_t num_work);
     void simulate(int phase, const netlist::Fault *faults,
                   std::size_t num_faults);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
-    void bumpEpoch();
 
     const FlatNetlist &flat_;
     const detail::WideKernels *kernels_;
@@ -236,24 +228,11 @@ class FaultSimulator
     std::vector<std::uint64_t> goodOut_[2];
     std::vector<std::uint64_t> outBuf_[2];
 
-    /** Copy-on-write faulty values: valid iff stamp_[g] == epoch_. */
-    WordVec faulty_;
-    std::vector<std::uint32_t> stamp_;
-    /** Stem-forced gates this epoch (skip recompute). */
-    std::vector<std::uint32_t> forced_;
-    std::uint32_t epoch_ = 0;
-
-    /** Memoized per-site fanout cones, keyed by seed gate. */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
-
-    /** Preallocated hot-path scratch. */
-    std::vector<const std::uint64_t *> ptrScratch_;
+    FanoutCones cones_;
+    ReplayScratch scratch_;
+    /** Cone seeds of the current injection set. */
+    std::vector<netlist::GateId> seeds_;
     WordVec inbarScratch_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
 
     struct TapInjection
     {

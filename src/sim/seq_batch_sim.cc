@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/cone.hh"
+
 namespace scal::sim
 {
 
@@ -11,15 +13,6 @@ constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 
 namespace
 {
-
-inline bool
-blocksEqual(const std::uint64_t *a, const std::uint64_t *b, int words)
-{
-    for (int w = 0; w < words; ++w)
-        if (a[w] != b[w])
-            return false;
-    return true;
-}
 
 /** The gate whose recomputation a site's injection perturbs first —
  *  the seed of its replay cone. */
@@ -47,46 +40,23 @@ std::vector<std::uint64_t>
 seqSiteCosts(const FlatNetlist &flat,
              const std::vector<SeqFaultSite> &sites)
 {
-    const int n = flat.numGates();
-
-    // Fanout-cone sizes, computed lazily (many sites share a root)
-    // with a visit-stamp scratch.
-    std::vector<std::int32_t> coneSize(static_cast<std::size_t>(n), -1);
-    std::vector<std::uint32_t> visit(static_cast<std::size_t>(n), 0);
-    std::uint32_t visitEpoch = 0;
-    std::vector<GateId> stack;
-    const auto coneSizeOf = [&](GateId root) -> std::uint64_t {
-        if (root == kNoGate)
-            return 0;
-        std::int32_t &memo = coneSize[static_cast<std::size_t>(root)];
-        if (memo < 0) {
-            ++visitEpoch;
-            std::int32_t count = 0;
-            stack.clear();
-            stack.push_back(root);
-            visit[static_cast<std::size_t>(root)] = visitEpoch;
-            while (!stack.empty()) {
-                const GateId g = stack.back();
-                stack.pop_back();
-                ++count;
-                const GateId *cs = flat.consumers(g);
-                for (int k = 0; k < flat.fanoutDegree(g); ++k) {
-                    if (visit[static_cast<std::size_t>(cs[k])] !=
-                        visitEpoch) {
-                        visit[static_cast<std::size_t>(cs[k])] =
-                            visitEpoch;
-                        stack.push_back(cs[k]);
-                    }
-                }
-            }
-            memo = count;
-        }
-        return static_cast<std::uint64_t>(memo);
-    };
-
+    // Fanout-cone sizes, counted once per root (many sites share
+    // one); no cone is sorted or kept.
+    FanoutCones cones(flat);
+    std::vector<std::uint64_t> coneSize(
+        static_cast<std::size_t>(flat.numGates()), 0);
     std::vector<std::uint64_t> costs(sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i)
-        costs[i] = 1 + coneSizeOf(injectionRoot(flat, sites[i]));
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        const GateId root = injectionRoot(flat, sites[i]);
+        if (root == kNoGate) {
+            costs[i] = 1;
+            continue;
+        }
+        std::uint64_t &size = coneSize[static_cast<std::size_t>(root)];
+        if (size == 0) // a cone holds at least its root
+            size = cones.reach(&root, 1).size();
+        costs[i] = 1 + size;
+    }
     return costs;
 }
 
@@ -138,12 +108,12 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
                                                int group_words)
     : trace_(trace), flat_(trace.flat()), kernels_(&trace.kernels()),
       Wb_(trace.laneWords()), Wg_(group_words),
-      F_(group_words > 0 ? trace.laneWords() / group_words : 0)
+      F_(group_words > 0 ? trace.laneWords() / group_words : 0),
+      cones_(flat_), scratch_(flat_, *kernels_)
 {
     if (Wg_ < 1 || F_ < 1 || Wg_ * F_ != Wb_)
         throw std::invalid_argument(
             "group words must divide the trace width");
-    const std::size_t n = static_cast<std::size_t>(flat_.numGates());
     const std::size_t W = static_cast<std::size_t>(Wb_);
     const std::size_t nff =
         static_cast<std::size_t>(flat_.numFlipFlops());
@@ -151,12 +121,6 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     sites_.assign(static_cast<std::size_t>(F_), SeqFaultSite{});
     retired_.assign(static_cast<std::size_t>(F_), 1);
     faultyState_.assign(nff * W, 0);
-    faulty_.assign(n * W, 0);
-    stamp_.assign(n, 0);
-    forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
     injVals_.assign(static_cast<std::size_t>(F_) * W, 0);
     injMasks_.assign(static_cast<std::size_t>(F_) * W, 0);
     binj_.reserve(static_cast<std::size_t>(F_));
@@ -165,77 +129,13 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     sinj_.reserve(static_cast<std::size_t>(F_));
     stemFresh_.reserve(static_cast<std::size_t>(F_));
     patchedFfs_.reserve(static_cast<std::size_t>(F_));
-    ptrScratch_.assign(
-        static_cast<std::size_t>(std::max(1, flat_.maxArity())),
-        nullptr);
     outBuf_.assign(no * W, 0);
     buf0_.assign(no * W, 0);
     alarmBuf_.assign(W, 0);
     wrongBuf_.assign(W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
     seeds_.reserve(nff + static_cast<std::size_t>(2 * F_));
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
-}
-
-void
-SeqFaultBatchSimulator::bumpEpoch()
-{
-    if (++epoch_ == 0) { // wraparound: stale stamps would alias
-        std::fill(stamp_.begin(), stamp_.end(), 0);
-        std::fill(forced_.begin(), forced_.end(), 0);
-        epoch_ = 1;
-    }
-}
-
-void
-SeqFaultBatchSimulator::bumpVisit()
-{
-    if (++visitEpoch_ == 0) {
-        std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-        visitEpoch_ = 1;
-    }
-}
-
-const std::vector<GateId> &
-SeqFaultBatchSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        bumpVisit();
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
-}
-
-bool
-SeqFaultBatchSimulator::groupSliceIs(const std::uint64_t *block, int f,
-                                     std::uint64_t broadcast) const
-{
-    const int base = f * Wg_;
-    for (int w = 0; w < Wg_; ++w)
-        if (block[base + w] != broadcast)
-            return false;
-    return true;
 }
 
 void
@@ -277,40 +177,11 @@ SeqFaultBatchSimulator::beginBatch(const SeqFaultSite *sites, int nf,
 bool
 SeqFaultBatchSimulator::anyLiveExcited(long t) const
 {
-    const std::size_t W = static_cast<std::size_t>(Wb_);
-    const std::uint64_t *good = trace_.lines(t);
-    const std::uint64_t *good_out = trace_.outputs(t);
-    const bool phase = trace_.phaseAt(t);
-    for (int f = 0; f < nf_; ++f) {
-        if (retired_[static_cast<std::size_t>(f)])
-            continue;
-        const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
-        const std::uint64_t bc = s.value ? kAllOnes : 0;
-        switch (s.kind) {
-          case SeqFaultSite::Kind::Stem:
-          case SeqFaultSite::Kind::Branch:
-            if (!groupSliceIs(
-                    good + static_cast<std::size_t>(s.driver) * W, f,
-                    bc))
-                return true;
-            break;
-          case SeqFaultSite::Kind::DffBranch:
-            if (trace_.latchEligible(s.ff, phase) &&
-                !groupSliceIs(
-                    good + static_cast<std::size_t>(s.driver) * W, f,
-                    bc))
-                return true;
-            break;
-          case SeqFaultSite::Kind::Tap:
-            if (!groupSliceIs(
-                    good_out + static_cast<std::size_t>(s.tap) * W, f,
-                    bc))
-                return true;
-            break;
-          case SeqFaultSite::Kind::Inert:
-            break;
-        }
-    }
+    for (int f = 0; f < nf_; ++f)
+        if (!retired_[static_cast<std::size_t>(f)] &&
+            !seqSiteQuiet(trace_, t, sites_[static_cast<std::size_t>(f)],
+                          f * Wg_, Wg_))
+            return true;
     return false;
 }
 
@@ -335,7 +206,7 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                   faultyState_.begin());
     }
 
-    bumpEpoch();
+    scratch_.bump();
     std::int64_t frontier = 0;
     int last_branch_pos = -1;
     seeds_.clear();
@@ -347,15 +218,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     // trace line of each diverged Dff for every lane at once.
     for (const std::int32_t ffi : diverged_) {
         const GateId g = flat_.ffGate(ffi);
-        forced_[g] = epoch_;
-        std::uint64_t *fv =
-            faulty_.data() + static_cast<std::size_t>(g) * W;
-        const std::uint64_t *fs =
-            faultyState_.data() + static_cast<std::size_t>(ffi) * W;
-        for (std::size_t w = 0; w < W; ++w)
-            fv[w] = fs[w];
-        stamp_[g] = epoch_;
-        frontier += flat_.fanoutDegree(g);
+        frontier += scratch_.pin(
+            g, faultyState_.data() + static_cast<std::size_t>(ffi) * W);
         seeds_.push_back(g);
     }
 
@@ -374,61 +238,51 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             if (s.kind != SeqFaultSite::Kind::Stem)
                 continue;
             const GateId d = s.driver;
-            std::uint64_t *fv =
-                faulty_.data() + static_cast<std::size_t>(d) * W;
+            std::uint64_t *fv = scratch_.line(d);
             const std::uint64_t bc = s.value ? kAllOnes : 0;
             // Dffs are state sources replay never recomputes, and a
             // fanin-less gate (input, constant) has no combinational
             // evaluation and can receive no batch-mate divergence:
             // both keep the forced whole-block pin. Everything else
             // becomes a lane-masked dynamic injection.
+            bool fresh;
             if (flat_.kind(d) == GateKind::Dff || flat_.arity(d) == 0) {
-                if (forced_[d] != epoch_) {
-                    forced_[d] = epoch_;
-                    const std::uint64_t *gd =
-                        good + static_cast<std::size_t>(d) * W;
-                    for (std::size_t w = 0; w < W; ++w)
-                        fv[w] = gd[w];
-                    stemFresh_.push_back(d);
-                }
+                fresh = !scratch_.forced(d);
+                scratch_.force(d);
             } else {
                 int ei = -1;
                 for (std::size_t k = 0; k < sinj_.size(); ++k)
                     if (sinj_[k].gate == d)
                         ei = static_cast<int>(k);
-                if (ei < 0) {
+                fresh = ei < 0;
+                if (fresh) {
                     ei = static_cast<int>(sinj_.size());
                     const std::size_t slot =
                         static_cast<std::size_t>(ei) * W;
                     std::fill_n(stemMasks_.data() + slot, W, 0);
                     sinj_.push_back({d, stemVals_.data() + slot,
                                      stemMasks_.data() + slot});
-                    const std::uint64_t *gd =
-                        good + static_cast<std::size_t>(d) * W;
-                    for (std::size_t w = 0; w < W; ++w)
-                        fv[w] = gd[w];
-                    stemFresh_.push_back(d);
                 }
                 const std::size_t slot =
-                    static_cast<std::size_t>(ei) * W;
-                std::uint64_t *sval = stemVals_.data() + slot;
-                std::uint64_t *smask = stemMasks_.data() + slot;
-                for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
-                    sval[static_cast<std::size_t>(w)] = bc;
-                    smask[static_cast<std::size_t>(w)] = kAllOnes;
-                }
+                    static_cast<std::size_t>(ei) * W + f * Wg_;
+                std::fill_n(stemVals_.data() + slot, Wg_, bc);
+                std::fill_n(stemMasks_.data() + slot, Wg_, kAllOnes);
+            }
+            if (fresh) {
+                const std::uint64_t *gd =
+                    good + static_cast<std::size_t>(d) * W;
+                std::copy(gd, gd + W, fv);
+                stemFresh_.push_back(d);
             }
             // Seed the pin over the block so consumers (and the
             // latch pass) see it even before/without a replay.
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                fv[static_cast<std::size_t>(w)] = bc;
+            std::fill_n(fv + f * Wg_, Wg_, bc);
         }
         for (const GateId d : stemFresh_) {
-            if (!blocksEqual(faulty_.data() +
-                                 static_cast<std::size_t>(d) * W,
-                             good + static_cast<std::size_t>(d) * W,
-                             Wb_)) {
-                stamp_[d] = epoch_;
+            const std::uint64_t *fv = scratch_.line(d);
+            if (!std::equal(fv, fv + W,
+                            good + static_cast<std::size_t>(d) * W)) {
+                scratch_.stamp(d);
                 frontier += flat_.fanoutDegree(d);
             }
             seeds_.push_back(d);
@@ -471,58 +325,25 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                     std::max(last_branch_pos, flat_.topoPos(c));
             }
             const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
-                val[static_cast<std::size_t>(w)] = bc;
-                msk[static_cast<std::size_t>(w)] = kAllOnes;
-            }
+            std::fill_n(val + f * Wg_, Wg_, bc);
+            std::fill_n(msk + f * Wg_, Wg_, kAllOnes);
         }
     }
 
     if (frontier != 0 || !binj_.empty()) {
-        const std::vector<GateId> *work;
-        if (seeds_.size() == 1) {
-            work = &cone(seeds_[0]);
-        } else {
-            bumpVisit();
-            unionCone_.clear();
-            stack_.clear();
-            for (const GateId s : seeds_) {
-                if (visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work->data(),
-                             work->size(), binj_.data(), binj_.size(),
-                             sinj_.data(), sinj_.size(),
-                             last_branch_pos, frontier,
-                             ptrScratch_.data());
+        const std::vector<GateId> &work =
+            seeds_.size() == 1
+                ? cones_.cone(seeds_[0])
+                : cones_.unionCone(seeds_.data(), seeds_.size());
+        scratch_.replay(good, work.data(), work.size(), binj_.data(),
+                        binj_.size(), sinj_.data(), sinj_.size(),
+                        last_branch_pos, frontier);
     }
 
     // Output assembly; active tap faults override their own lane
     // group only (every other group keeps the assembled value).
     std::uint64_t *out = outBuf_.data();
-    kernels_->assembleOutputs(flat_, good, faulty_.data(), stamp_.data(),
-                              epoch_, out);
+    scratch_.assemble(good, out);
     if (active) {
         for (int f = 0; f < nf_; ++f) {
             if (retired_[static_cast<std::size_t>(f)])
@@ -533,8 +354,7 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             std::uint64_t *dst =
                 out + static_cast<std::size_t>(s.tap) * W;
             const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                dst[static_cast<std::size_t>(w)] = bc;
+            std::fill_n(dst + f * Wg_, Wg_, bc);
         }
     }
     const std::uint64_t diff =
@@ -544,9 +364,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     // per-group patches (the kernel's single branch_ff slot cannot
     // carry several lane-group-local injections).
     divergedNext_.resize(static_cast<std::size_t>(nff));
-    const int ndiv = kernels_->latchAndTrack(
-        flat_, trace_.latchEligibleTable(phase), good, faulty_.data(),
-        stamp_.data(), epoch_, /*branch_ff=*/-1,
+    const int ndiv = scratch_.latchAndTrack(
+        trace_.latchEligibleTable(phase), good, /*branch_ff=*/-1,
         detail::kZeroGroup.data(), faultyState_.data(), good_next,
         divergedNext_.data());
     divergedNext_.resize(static_cast<std::size_t>(ndiv));
@@ -562,8 +381,7 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             std::uint64_t *fs =
                 faultyState_.data() + static_cast<std::size_t>(s.ff) * W;
             const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                fs[static_cast<std::size_t>(w)] = bc;
+            std::fill_n(fs + f * Wg_, Wg_, bc);
             patchedFfs_.push_back(s.ff);
         }
         if (!patchedFfs_.empty()) {
@@ -572,10 +390,10 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                 std::unique(patchedFfs_.begin(), patchedFfs_.end()),
                 patchedFfs_.end());
             for (const int ffi : patchedFfs_) {
-                const bool div = !blocksEqual(
-                    faultyState_.data() +
-                        static_cast<std::size_t>(ffi) * W,
-                    good_next + static_cast<std::size_t>(ffi) * W, Wb_);
+                const std::uint64_t *fs =
+                    faultyState_.data() + static_cast<std::size_t>(ffi) * W;
+                const bool div = !std::equal(
+                    fs, fs + W, good_next + static_cast<std::size_t>(ffi) * W);
                 const auto it =
                     std::lower_bound(divergedNext_.begin(),
                                      divergedNext_.end(), ffi);
@@ -607,18 +425,16 @@ SeqFaultBatchSimulator::retireGroup(int f, long state_row)
         std::uint64_t *fs =
             faultyState_.data() + static_cast<std::size_t>(i) * W;
         const std::uint64_t *gs = st + static_cast<std::size_t>(i) * W;
-        for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-            fs[static_cast<std::size_t>(w)] =
-                gs[static_cast<std::size_t>(w)];
+        std::copy_n(gs + f * Wg_, Wg_, fs + f * Wg_);
     }
     diverged_.erase(
         std::remove_if(
             diverged_.begin(), diverged_.end(),
             [&](std::int32_t ffi) {
-                return blocksEqual(
-                    faultyState_.data() +
-                        static_cast<std::size_t>(ffi) * W,
-                    st + static_cast<std::size_t>(ffi) * W, Wb_);
+                const std::uint64_t *fs =
+                    faultyState_.data() + static_cast<std::size_t>(ffi) * W;
+                return std::equal(fs, fs + W,
+                                  st + static_cast<std::size_t>(ffi) * W);
             }),
         diverged_.end());
 }

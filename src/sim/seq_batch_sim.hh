@@ -53,7 +53,7 @@ struct SeqBatchPlan
     int groupsPerBatch = 0; ///< F: fault slots per batch
     /** batches[b] = indices into the planner's site array. */
     std::vector<std::vector<int>> batches;
-    /** Per-batch shard weight: Σ members (1 + root cone gates). */
+    /** Per-batch cost estimate: Σ members (1 + root cone gates). */
     std::vector<std::uint64_t> weights;
 };
 
@@ -142,17 +142,12 @@ class SeqFaultBatchSimulator
 
   private:
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
-    bool groupSliceIs(const std::uint64_t *block, int f,
-                      std::uint64_t broadcast) const;
     bool anyLiveExcited(long t) const;
     std::uint64_t stepBatchPeriod(long t);
     void fold(long t, const FoldSpec &spec, const SymbolSink &sink);
     bool flushSymbol(long s, const std::uint64_t *p1row,
                      const FoldSpec &spec, const SymbolSink &sink);
     void retireGroup(int f, long state_row);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
-    void bumpEpoch();
-    void bumpVisit();
 
     const SeqGoodTrace &trace_;
     const FlatNetlist &flat_;
@@ -173,17 +168,9 @@ class SeqFaultBatchSimulator
     WordVec faultyState_;
     std::vector<std::int32_t> diverged_, divergedNext_;
 
-    /** Copy-on-write faulty line blocks: valid iff stamp == epoch. */
-    WordVec faulty_;
-    std::vector<std::uint32_t> stamp_;
-    std::vector<std::uint32_t> forced_;
-    std::uint32_t epoch_ = 0;
-
-    /** Memoized per-seed fanout cones (shared across batches). */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
+    /** Fanout cones (memo shared across batches) and replay state. */
+    FanoutCones cones_;
+    ReplayScratch scratch_;
 
     /** Per-period merged injection blocks (rebuilt from live sites). */
     WordVec injVals_, injMasks_;
@@ -193,11 +180,8 @@ class SeqFaultBatchSimulator
     std::vector<netlist::GateId> stemFresh_;
     std::vector<int> patchedFfs_;
 
-    std::vector<const std::uint64_t *> ptrScratch_;
     std::vector<std::uint64_t> outBuf_;
     std::vector<std::uint64_t> alarmBuf_, wrongBuf_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
     std::vector<netlist::GateId> seeds_;
 
     /** Batch-wide verdict-fold stash (per-fault pending discipline). */

@@ -103,84 +103,16 @@ SeqGoodTrace::stepPeriod(const std::uint64_t *inputs)
 
 SeqFaultSimulator::SeqFaultSimulator(const SeqGoodTrace &trace)
     : trace_(trace), flat_(trace.flat()), kernels_(&trace.kernels()),
-      laneWords_(trace.laneWords())
+      laneWords_(trace.laneWords()), cones_(flat_),
+      scratch_(flat_, *kernels_)
 {
-    const std::size_t n = static_cast<std::size_t>(flat_.numGates());
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::size_t nff = static_cast<std::size_t>(flat_.numFlipFlops());
     faultyState_.assign(nff * W, 0);
-    faulty_.assign(n * W, 0);
-    stamp_.assign(n, 0);
-    forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
-    ptrScratch_.assign(
-        static_cast<std::size_t>(std::max(1, flat_.maxArity())), nullptr);
     outBuf_.assign(static_cast<std::size_t>(flat_.numOutputs()) * W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
     seeds_.reserve(nff + 1);
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
-}
-
-void
-SeqFaultSimulator::bumpEpoch()
-{
-    if (++epoch_ == 0) { // wraparound: stale stamps would alias
-        std::fill(stamp_.begin(), stamp_.end(), 0);
-        std::fill(forced_.begin(), forced_.end(), 0);
-        epoch_ = 1;
-    }
-}
-
-void
-SeqFaultSimulator::bumpVisit()
-{
-    if (++visitEpoch_ == 0) {
-        std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-        visitEpoch_ = 1;
-    }
-}
-
-bool
-SeqFaultSimulator::blockIsFaultValue(const std::uint64_t *block) const
-{
-    for (int w = 0; w < laneWords_; ++w) {
-        if (block[w] != faultGroup_[w])
-            return false;
-    }
-    return true;
-}
-
-const std::vector<GateId> &
-SeqFaultSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        bumpVisit();
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
 }
 
 SeqFaultSite
@@ -216,6 +148,32 @@ decodeSeqFaultSite(const FlatNetlist &flat, const Fault &fault)
         s.kind = SeqFaultSite::Kind::Branch;
     }
     return s;
+}
+
+bool
+seqSiteQuiet(const SeqGoodTrace &trace, long t, const SeqFaultSite &site,
+             int w0, int nw)
+{
+    const std::size_t W = static_cast<std::size_t>(trace.laneWords());
+    const std::uint64_t *block = nullptr;
+    switch (site.kind) {
+      case SeqFaultSite::Kind::DffBranch:
+        if (!trace.latchEligible(site.ff, trace.phaseAt(t)))
+            return true;
+        [[fallthrough]];
+      case SeqFaultSite::Kind::Stem:
+      case SeqFaultSite::Kind::Branch:
+        block = trace.lines(t) + static_cast<std::size_t>(site.driver) * W;
+        break;
+      case SeqFaultSite::Kind::Tap:
+        block = trace.outputs(t) + static_cast<std::size_t>(site.tap) * W;
+        break;
+      case SeqFaultSite::Kind::Inert:
+        return true;
+    }
+    const std::uint64_t v = site.value ? kAllOnes : 0;
+    return std::all_of(block + w0, block + w0 + nw,
+                       [v](std::uint64_t x) { return x == v; });
 }
 
 void
@@ -255,27 +213,8 @@ SeqFaultSimulator::stepFaultPeriod(long t)
     // Fast path: state fully converged and the site unexcited this
     // period — nothing can change, one block compare and out.
     if (diverged_.empty()) {
-        switch (site_.kind) {
-          case SeqFaultSite::Kind::Stem:
-          case SeqFaultSite::Kind::Branch:
-            if (blockIsFaultValue(good +
-                                  static_cast<std::size_t>(site_.driver) * W))
-                return 0;
-            break;
-          case SeqFaultSite::Kind::DffBranch:
-            if (!trace_.latchEligible(site_.ff, phase) ||
-                blockIsFaultValue(good +
-                                  static_cast<std::size_t>(site_.driver) * W))
-                return 0;
-            break;
-          case SeqFaultSite::Kind::Tap:
-            if (blockIsFaultValue(good_out +
-                                  static_cast<std::size_t>(site_.tap) * W))
-                return 0;
-            break;
-          case SeqFaultSite::Kind::Inert:
+        if (seqSiteQuiet(trace_, t, site_, 0, laneWords_))
             return 0;
-        }
         // Converged periods are skipped without maintaining
         // faultyState_, so resync it with the good machine before
         // simulating (the latch loop reads it for ineligible
@@ -285,7 +224,7 @@ SeqFaultSimulator::stepFaultPeriod(long t)
                   faultyState_.begin());
     }
 
-    bumpEpoch();
+    scratch_.bump();
     std::int64_t frontier = 0;
     int last_branch_pos = -1;
     bool have_branch = false;
@@ -294,18 +233,12 @@ SeqFaultSimulator::stepFaultPeriod(long t)
     if (active) {
         switch (site_.kind) {
           case SeqFaultSite::Kind::Stem: {
-            forced_[site_.driver] = epoch_;
             const std::uint64_t *gd =
                 good + static_cast<std::size_t>(site_.driver) * W;
-            if (!blockIsFaultValue(gd)) {
-                std::uint64_t *fv =
-                    faulty_.data() +
-                    static_cast<std::size_t>(site_.driver) * W;
-                for (std::size_t w = 0; w < W; ++w)
-                    fv[w] = faultGroup_[w];
-                stamp_[site_.driver] = epoch_;
-                frontier += flat_.fanoutDegree(site_.driver);
-            }
+            if (std::equal(gd, gd + W, faultGroup_))
+                scratch_.force(site_.driver);
+            else
+                frontier += scratch_.pin(site_.driver, faultGroup_);
             seeds_.push_back(site_.driver);
             break;
           }
@@ -320,63 +253,26 @@ SeqFaultSimulator::stepFaultPeriod(long t)
     }
     for (const std::int32_t ffi : diverged_) {
         const GateId g = flat_.ffGate(ffi);
-        if (forced_[g] == epoch_)
+        if (scratch_.forced(g))
             continue; // a stem fault on this Dff wins over its state
-        forced_[g] = epoch_;
-        std::uint64_t *fv = faulty_.data() + static_cast<std::size_t>(g) * W;
-        const std::uint64_t *fs =
-            faultyState_.data() + static_cast<std::size_t>(ffi) * W;
-        for (std::size_t w = 0; w < W; ++w)
-            fv[w] = fs[w];
-        stamp_[g] = epoch_;
-        frontier += flat_.fanoutDegree(g);
+        frontier += scratch_.pin(
+            g, faultyState_.data() + static_cast<std::size_t>(ffi) * W);
         seeds_.push_back(g);
     }
 
     if (frontier != 0 || have_branch) {
-        const std::vector<GateId> *work;
-        if (seeds_.size() == 1) {
-            work = &cone(seeds_[0]);
-        } else {
-            bumpVisit();
-            unionCone_.clear();
-            stack_.clear();
-            for (const GateId s : seeds_) {
-                if (visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
-
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work->data(),
-                             work->size(), &branchInj_,
-                             have_branch ? 1 : 0, nullptr, 0,
-                             last_branch_pos, frontier, ptrScratch_.data());
+        const std::vector<GateId> &work =
+            seeds_.size() == 1
+                ? cones_.cone(seeds_[0])
+                : cones_.unionCone(seeds_.data(), seeds_.size());
+        scratch_.replay(good, work.data(), work.size(), &branchInj_,
+                        have_branch ? 1 : 0, nullptr, 0, last_branch_pos,
+                        frontier);
     }
 
     // Output assembly (tap override last, as in the oracle).
     std::uint64_t *out = outBuf_.data();
-    kernels_->assembleOutputs(flat_, good, faulty_.data(), stamp_.data(),
-                              epoch_, out);
+    scratch_.assemble(good, out);
     if (active && site_.kind == SeqFaultSite::Kind::Tap) {
         std::uint64_t *dst = out + static_cast<std::size_t>(site_.tap) * W;
         for (std::size_t w = 0; w < W; ++w)
@@ -390,10 +286,9 @@ SeqFaultSimulator::stepFaultPeriod(long t)
     const int branch_ff =
         (active && site_.kind == SeqFaultSite::Kind::DffBranch) ? site_.ff
                                                                 : -1;
-    const int ndiv = kernels_->latchAndTrack(
-        flat_, trace_.latchEligibleTable(phase), good, faulty_.data(),
-        stamp_.data(), epoch_, branch_ff, faultGroup_, faultyState_.data(),
-        good_next, divergedNext_.data());
+    const int ndiv = scratch_.latchAndTrack(
+        trace_.latchEligibleTable(phase), good, branch_ff, faultGroup_,
+        faultyState_.data(), good_next, divergedNext_.data());
     divergedNext_.resize(static_cast<std::size_t>(ndiv));
     diverged_.swap(divergedNext_);
     return diff;

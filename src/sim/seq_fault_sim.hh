@@ -21,7 +21,10 @@
  *    common case cheap: an unexcited site with fully converged state
  *    is a single block compare, and once the activity window is behind
  *    and the state blocks reconverge the remaining periods are skipped
- *    outright (they are bit-identical to the good machine).
+ *    outright (they are bit-identical to the good machine). Campaigns
+ *    replay through the lane-batched SeqFaultBatchSimulator at every
+ *    width; this kernel serves fault::referenceSequentialCampaign
+ *    (the oracle) and seq::runAlternating.
  *
  * Each line carries laneWords() uint64 words (1, 4 or 8 → 64, 256 or
  * 512 packed sequences); the per-period gate loops run through the
@@ -50,6 +53,7 @@
 #include <limits>
 #include <vector>
 
+#include "sim/cone.hh"
 #include "sim/flat.hh"
 #include "sim/wide.hh"
 
@@ -187,6 +191,17 @@ struct SeqFaultSite
 SeqFaultSite decodeSeqFaultSite(const FlatNetlist &flat,
                                 const netlist::Fault &fault);
 
+/**
+ * True when @p site cannot act on lane words [w0, w0 + nw) of period
+ * @p t of @p trace: the line it pins already carries the stuck value
+ * there (a Dff D-pin fault is also quiet while its flip-flop does not
+ * latch). Inert sites are always quiet. With converged state a quiet
+ * period is bit-identical to the good machine, which is the fast path
+ * of both sequential replay kernels.
+ */
+bool seqSiteQuiet(const SeqGoodTrace &trace, long t,
+                  const SeqFaultSite &site, int w0, int nw);
+
 class SeqFaultSimulator
 {
   public:
@@ -243,11 +258,6 @@ class SeqFaultSimulator
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
     /** Simulate period @p t; returns the OR of output diff words. */
     std::uint64_t stepFaultPeriod(long t);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
-    void bumpEpoch();
-    void bumpVisit();
-    /** True iff all W words of @p block equal the broadcast fault value. */
-    bool blockIsFaultValue(const std::uint64_t *block) const;
 
     const SeqGoodTrace &trace_;
     const FlatNetlist &flat_;
@@ -264,22 +274,9 @@ class SeqFaultSimulator
     WordVec faultyState_;
     std::vector<std::int32_t> diverged_, divergedNext_;
 
-    /** Copy-on-write faulty line blocks: valid iff stamp == epoch. */
-    WordVec faulty_;
-    std::vector<std::uint32_t> stamp_;
-    std::vector<std::uint32_t> forced_;
-    std::uint32_t epoch_ = 0;
-
-    /** Memoized per-seed fanout cones. */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
-
-    std::vector<const std::uint64_t *> ptrScratch_;
+    FanoutCones cones_;
+    ReplayScratch scratch_;
     std::vector<std::uint64_t> outBuf_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
     std::vector<netlist::GateId> seeds_;
     detail::WideBranchInj branchInj_;
 

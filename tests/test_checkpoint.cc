@@ -146,6 +146,20 @@ TEST(Checkpoint, DiagnosticsNameSourceAndOffset)
     }
 }
 
+/** @p bytes with its version byte set to @p version and the trailer
+ *  re-sealed, so only the version check can reject it. */
+std::vector<std::uint8_t>
+withVersion(std::vector<std::uint8_t> bytes, std::uint8_t version)
+{
+    bytes[7] = version;
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t h = engine::fnv1a64Bytes(bytes.data(), body);
+    for (int i = 0; i < 8; ++i)
+        bytes[body + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(h >> (8 * i));
+    return bytes;
+}
+
 TEST(Checkpoint, BadMagicAndVersionRejected)
 {
     const auto bytes =
@@ -155,22 +169,22 @@ TEST(Checkpoint, BadMagicAndVersionRejected)
     EXPECT_THROW(engine::decodeSnapshot(wrong_magic, nullptr, "m"),
                  SnapshotError);
     // Version bump with a re-stamped trailer: caught by the version
-    // check, not just the hash.
-    auto wrong_version = bytes;
-    wrong_version[7] = 99;
-    const std::size_t body = wrong_version.size() - 8;
-    const std::uint64_t h =
-        engine::fnv1a64Bytes(wrong_version.data(), body);
-    for (int i = 0; i < 8; ++i)
-        wrong_version[body + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(h >> (8 * i));
-    try {
-        engine::decodeSnapshot(wrong_version, nullptr, "v");
-        FAIL() << "unsupported version decoded";
-    } catch (const SnapshotError &e) {
-        EXPECT_NE(std::string(e.what()).find("version"),
-                  std::string::npos)
-            << e.what();
+    // check, not just the hash, and named. Version 2 is the previous
+    // format (its seq payloads carry a byte v3 dropped), so it must
+    // fail on its version, never misparse.
+    for (const std::uint8_t v : {std::uint8_t{2}, std::uint8_t{99}}) {
+        try {
+            engine::decodeSnapshot(withVersion(bytes, v), nullptr,
+                                   "old/shard0.part");
+            FAIL() << "unsupported version " << int(v) << " decoded";
+        } catch (const SnapshotError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("old/shard0.part"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("version " + std::to_string(v)),
+                      std::string::npos)
+                << what;
+        }
     }
 }
 

@@ -1,10 +1,10 @@
 /**
  * The seq campaign pipeline against the per-fault reference oracle:
  * bit-identity of verdicts, first-alarm/escape periods, latency
- * histograms and lane counters across jobs counts, lane widths (the
- * lane-batched replay up to 256 lanes, the single-fault replay
- * above), SIMD targets, transient windows and hold inputs; and the
- * raw (non-hardened) fallback spec.
+ * histograms and lane counters across jobs counts, lane widths
+ * (several fault lane groups per batch up to 256 lanes, one above),
+ * SIMD targets, transient windows and hold inputs; and the raw
+ * (non-hardened) fallback spec.
  */
 
 #include <string>
@@ -200,10 +200,10 @@ TEST(SeqFaultParallelEquiv, TransientWindowMatches)
     }
 }
 
-TEST(SeqFaultParallelEquiv, Lanes512TakesPerFaultPath)
+TEST(SeqFaultParallelEquiv, WideLanesBatchOneGroupPerBatch)
 {
-    // Above 256 lanes one fault fills the widest kernel block, so the
-    // pipeline replays each class alone instead of in lane batches.
+    // Above 256 lanes one fault fills the widest kernel block: the
+    // pipeline still lane-batches, one fault group per batch.
     const auto cs = cases();
     const Case &c = cs[1]; // translator
     for (const int lanes : {320, 512}) {
@@ -215,8 +215,9 @@ TEST(SeqFaultParallelEquiv, Lanes512TakesPerFaultPath)
         opts.jobs = 2;
         const auto on = runWith(c, opts, true);
         const auto off = runWith(c, opts, false);
-        EXPECT_FALSE(on.faultBatch);
-        EXPECT_EQ(on.batches, 0);
+        EXPECT_TRUE(on.faultBatch);
+        EXPECT_GT(on.batches, 0);
+        EXPECT_EQ(on.batches, on.batchedClasses);
         expectIdentical(on, off);
     }
 }

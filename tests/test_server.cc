@@ -74,6 +74,38 @@ TEST(Jsonl, ParseErrorsCarryOffset)
     EXPECT_THROW(jsonl::parse("[1,2"), jsonl::ParseError);
 }
 
+TEST(Jsonl, NestingDepthIsBounded)
+{
+    // The limit itself parses; one level more is a ParseError located
+    // at the bracket that crosses it, however deep the line goes on.
+    const int d = jsonl::kMaxNestingDepth;
+    const std::string at_limit =
+        std::string(static_cast<std::size_t>(d), '[') +
+        std::string(static_cast<std::size_t>(d), ']');
+    EXPECT_NO_THROW(jsonl::parse(at_limit));
+    for (const std::string &bad :
+         {"[" + at_limit + "]", std::string(500000, '[')}) {
+        try {
+            jsonl::parse(bad);
+            FAIL() << "nesting of " << bad.size() << " bytes parsed";
+        } catch (const jsonl::ParseError &e) {
+            EXPECT_EQ(e.offset, static_cast<std::size_t>(d));
+            EXPECT_NE(std::string(e.what()).find("nesting"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::string objects;
+    for (int i = 0; i < 2 * d; ++i)
+        objects += "{\"k\":";
+    try {
+        jsonl::parse(objects);
+        FAIL() << "nested objects parsed";
+    } catch (const jsonl::ParseError &e) {
+        EXPECT_EQ(e.offset, 5 * static_cast<std::size_t>(d)) << e.what();
+    }
+}
+
 TEST(Jsonl, LineBufferFraming)
 {
     jsonl::LineBuffer buf;
@@ -708,39 +740,56 @@ TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
               cold.find("verdict")->asString());
 }
 
-TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
+/** Send @p lines over a fresh raw connection to @p path and collect
+ *  the first @p n reply lines. */
+std::vector<jsonl::Value>
+rawExchange(const std::string &path, const std::string &lines,
+            std::size_t n)
 {
-    // Raw socket: feed broken and valid lines and check each error
-    // carries the 1-based line number it arrived on.
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path_.c_str(),
-                 sizeof addr.sun_path - 1);
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
               0);
-    const std::string lines = "this is not json\n"
-                              "{\"no_op\":1}\n"
-                              "{\"op\":\"warp\"}\n"
-                              "{\"op\":\"submit\",\"kind\":\"comb\"}\n"
-                              "{\"op\":\"status\",\"id\":42}\n";
-    ASSERT_EQ(::send(fd, lines.data(), lines.size(), 0),
-              static_cast<ssize_t>(lines.size()));
+    for (std::size_t sent = 0; sent < lines.size();) {
+        const ssize_t k =
+            ::send(fd, lines.data() + sent, lines.size() - sent, 0);
+        if (k <= 0)
+            break;
+        sent += static_cast<std::size_t>(k);
+    }
 
     jsonl::LineBuffer buf;
     std::vector<jsonl::Value> responses;
     char chunk[4096];
-    while (responses.size() < 5) {
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        ASSERT_GT(n, 0);
-        buf.feed(chunk, static_cast<std::size_t>(n));
+    while (responses.size() < n) {
+        const ssize_t k = ::recv(fd, chunk, sizeof chunk, 0);
+        if (k <= 0)
+            break;
+        buf.feed(chunk, static_cast<std::size_t>(k));
         std::string line;
         while (buf.pop(&line))
             responses.push_back(jsonl::parse(line));
     }
     ::close(fd);
+    return responses;
+}
+
+TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
+{
+    // Raw socket: feed broken and valid lines and check each error
+    // carries the 1-based line number it arrived on.
+    const std::string lines = "this is not json\n"
+                              "{\"no_op\":1}\n"
+                              "{\"op\":\"warp\"}\n"
+                              "{\"op\":\"submit\",\"kind\":\"comb\"}\n"
+                              "{\"op\":\"status\",\"id\":42}\n";
+    const std::vector<jsonl::Value> responses =
+        rawExchange(path_, lines, 5);
+    ASSERT_EQ(responses.size(), 5u);
 
     for (std::size_t i = 0; i < 5; ++i) {
         EXPECT_FALSE(responses[i].find("ok")->asBool()) << i;
@@ -755,6 +804,30 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
     EXPECT_NE(
         responses[4].find("error")->asString().find("no such job"),
         std::string::npos);
+}
+
+TEST_F(ServerTest, DeeplyNestedLineIsAnErrorNotACrash)
+{
+    // One line of 500,000 '[' used to overflow the parser's stack and
+    // kill the daemon with every other client's jobs. It must be a
+    // located error reply, and the daemon must keep serving: the same
+    // connection answers its next line, and a fresh submit completes.
+    const std::string deep(500000, '[');
+    const std::vector<jsonl::Value> responses =
+        rawExchange(path_, deep + "\n{\"op\":\"stats\"}\n", 2);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_FALSE(responses[0].find("ok")->asBool());
+    EXPECT_EQ(responses[0].find("line")->asUint64(), 1u);
+    EXPECT_NE(responses[0].find("error")->asString().find("nesting"),
+              std::string::npos)
+        << responses[0].find("error")->asString();
+    EXPECT_TRUE(responses[1].find("ok")->asBool());
+
+    Client client(path_);
+    const jsonl::Value done = client.submitAndWait(combSubmit(
+        roundTripped(netlist::circuits::section36NetworkRepaired()), 5));
+    ASSERT_TRUE(done.find("ok")->asBool());
+    EXPECT_EQ(done.find("state")->asString(), "done");
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon)
