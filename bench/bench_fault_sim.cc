@@ -5,8 +5,11 @@
  *
  *  - `ref`: the pre-change reference (PackedEvaluator full
  *    resimulation per fault per 64-lane block),
- *  - `cone`: the cone-restricted FaultSimulator, one replay per
- *    collapsed fault, at 64/256/512 lanes,
+ *  - `cone`: the cone-restricted FaultSimulator on its cone-walk
+ *    oracle kernel (ReplayKernel::ConeWalk), one replay per fault, at
+ *    64/256/512 lanes — the fixed reference every gated ratio divides,
+ *  - `events`: the same per-fault loop on the event-driven replay
+ *    kernel the campaigns run,
  *  - `fp`: the fault-parallel path (FaultBatchPlan + BatchClassifier:
  *    dominance pruning, disjoint-cone batching, flip passes and
  *    critical-path tracing) at the same widths.
@@ -20,8 +23,10 @@
  * oracle there — itself digest-checked against `ref` on every
  * scenario that affords it). Results are emitted as machine-readable
  * JSON (stdout and a file) so CI can archive the numbers. Every
- * timing is a warmed-up best/median/stddev over --reps repetitions
- * (bench_stats.hh).
+ * timing is a warmed-up best/median/stddev over --reps repetitions,
+ * and the sections of one width run interleaved (bench_stats.hh
+ * Interleaved): each gated ratio is the median of per-round ratios,
+ * reported with its interquartile range.
  *
  * Usage: bench_fault_sim [--circuits DIR] [--max-patterns N]
  *                        [--reps N] [--out FILE]
@@ -31,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -173,17 +179,17 @@ runReferenceKernel(const Netlist &net, const std::vector<Fault> &faults,
     return maskDigest(verdict);
 }
 
-/** The cone-restricted kernel the campaign runs now, at any lane
- *  width and dispatch target. Per-fault masks are accumulated over
- *  the active lanes only, so the digest is identical at every
- *  (width, target) pair. */
+/** The per-fault cone-restricted kernel on either replay kernel, at
+ *  any lane width and dispatch target. Per-fault masks are
+ *  accumulated over the active lanes only, so the digest is identical
+ *  at every (kernel, width, target). */
 std::uint64_t
 runWideKernel(const sim::FlatNetlist &flat,
               const std::vector<Fault> &faults,
               const std::vector<WideBlock> &blocks, int lane_words,
-              sim::SimdTarget target)
+              sim::SimdTarget target, sim::ReplayKernel kernel)
 {
-    sim::FaultSimulator fs(flat, lane_words, target);
+    sim::FaultSimulator fs(flat, lane_words, target, kernel);
     std::vector<sim::AlternatingMasks> verdict(faults.size());
     for (const WideBlock &blk : blocks) {
         fs.setAlternatingBlock(blk.in);
@@ -240,12 +246,15 @@ runFaultParallelKernel(const sim::FlatNetlist &flat,
     return maskDigest(verdict);
 }
 
-/** Timing for one kernel at one lane width (native dispatch). */
+/** Timing for the kernels at one lane width (native dispatch). */
 struct WidthRow
 {
     int lanes = 0;
-    bench::TimingStats stats;
-    bench::TimingStats fp; ///< fault-parallel kernel, same width
+    bench::TimingStats stats;  ///< cone-walk per-fault kernel
+    bench::TimingStats events; ///< event-driven per-fault kernel
+    bench::TimingStats fp;     ///< fault-parallel kernel
+    bench::PairedRatio fpVsCone;
+    bench::PairedRatio eventsVsWalk;
 };
 
 struct Row
@@ -256,6 +265,7 @@ struct Row
     std::uint64_t patterns = 0;
     bool hasRef = true;
     bench::TimingStats ref;
+    bench::PairedRatio refVsCone; ///< ref vs the 64-lane cone kernel
     std::vector<WidthRow> widths; // ascending lanes; widths[0] is 64
 
     double throughput(double seconds) const
@@ -264,22 +274,15 @@ struct Row
                static_cast<double>(patterns) / seconds;
     }
     /** ref vs the 64-lane cone kernel (the historical headline). */
-    double speedup() const
-    {
-        return ref.best / widths.front().stats.best;
-    }
+    double speedup() const { return refVsCone.median; }
     /** 512-lane vs 64-lane cone kernel, both native dispatch. */
     double speedup512v64() const
     {
         return widths.front().stats.best / widths.back().stats.best;
     }
     /** Fault-parallel vs per-fault cone kernel at the widest lanes:
-     *  the campaign-default configuration, the headline this PR
-     *  targets. */
-    double speedupFp() const
-    {
-        return widths.back().stats.best / widths.back().fp.best;
-    }
+     *  the campaign-default configuration. */
+    double speedupFp() const { return widths.back().fpVsCone.median; }
 };
 
 void
@@ -295,8 +298,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows,
     os << "{\n  \"benchmark\": \"fault_sim\",\n  \"unit\": "
           "\"faults*patterns/s\",\n  \"simd\": \""
        << sim::simdTargetName(native) << "\",\n  \"reps\": "
-       << rows.front().ref.reps << ",\n  \"warmup\": "
-       << rows.front().ref.warmup << ",\n  \"scenarios\": [\n";
+       << rows.front().widths.front().stats.reps << ",\n  \"warmup\": "
+       << rows.front().widths.front().stats.warmup << ",\n  \"scenarios\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         if (r.hasRef) {
@@ -321,7 +324,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows,
         os << ", \"cone_throughput\": "
            << r.throughput(r.widths.front().stats.best);
         if (r.hasRef)
-            os << ", \"speedup\": " << r.speedup();
+            os << ", \"speedup\": " << r.speedup()
+               << ", \"ref_vs_cone_iqr\": " << r.refVsCone.iqr;
         os << ",\n     \"widths\": [";
         for (std::size_t w = 0; w < r.widths.size(); ++w) {
             const WidthRow &wr = r.widths[w];
@@ -329,13 +333,19 @@ emitJson(std::ostream &os, const std::vector<Row> &rows,
                << ", ";
             bench::emitStatsFields(os, "cone", wr.stats);
             os << ", ";
+            bench::emitStatsFields(os, "events", wr.events);
+            os << ", ";
             bench::emitStatsFields(os, "fp", wr.fp);
             os << ", \"throughput\": " << r.throughput(wr.stats.best)
                << ", \"fp_throughput\": " << r.throughput(wr.fp.best)
                << ", \"speedup_vs_64\": "
                << r.widths.front().stats.best / wr.stats.best
-               << ", \"fp_speedup_vs_cone\": "
-               << wr.stats.best / wr.fp.best << "}";
+               << ", \"fp_speedup_vs_cone\": " << wr.fpVsCone.median
+               << ", \"fp_vs_cone_iqr\": " << wr.fpVsCone.iqr
+               << ", \"events_speedup_vs_walk\": "
+               << wr.eventsVsWalk.median
+               << ", \"events_vs_walk_iqr\": " << wr.eventsVsWalk.iqr
+               << "}";
         }
         os << "],\n     \"speedup_512v64\": " << r.speedup512v64()
            << ",\n     \"speedup_fp\": " << r.speedupFp() << "}"
@@ -415,33 +425,40 @@ main(int argc, char **argv)
                                        col.representatives, col.pruned,
                                        /*enable_cpt=*/true);
 
-        // Verdicts must agree — between the reference, cone, and
-        // fault-parallel kernels, across every lane width, and
-        // between portable and native dispatch — before timing means
-        // anything. On scenarios without an affordable full
-        // resimulation the cone kernel anchors the digest.
+        // Verdicts must agree — between the reference, both per-fault
+        // replay kernels and the fault-parallel kernel, across every
+        // lane width, and between portable and native dispatch —
+        // before timing means anything. On scenarios without an
+        // affordable full resimulation the cone-walk kernel anchors
+        // the digest.
         std::uint64_t applied = 0;
         const auto narrow = buildBlocks(ni, max_patterns, 1, applied);
         const std::uint64_t want =
             sc.withRef ? runReferenceKernel(sc.net, faults, narrow)
-                       : runWideKernel(flat, faults, narrow, 1, native);
+                       : runWideKernel(flat, faults, narrow, 1, native,
+                                       sim::ReplayKernel::ConeWalk);
         for (int lw : width_list) {
             const auto blocks = buildBlocks(ni, max_patterns, lw, applied);
-            if (runWideKernel(flat, faults, blocks, lw, native) != want ||
-                runWideKernel(flat, faults, blocks, lw,
-                              sim::SimdTarget::Portable) != want) {
-                std::cerr << "FATAL: kernel digest mismatch on "
-                          << sc.name << " at " << 64 * lw << " lanes\n";
-                return 1;
-            }
-            if (runFaultParallelKernel(flat, faults, col, plan, blocks,
-                                       lw, native) != want ||
-                runFaultParallelKernel(flat, faults, col, plan, blocks,
-                                       lw, sim::SimdTarget::Portable) !=
-                    want) {
-                std::cerr << "FATAL: fault-parallel digest mismatch on "
-                          << sc.name << " at " << 64 * lw << " lanes\n";
-                return 1;
+            for (const sim::SimdTarget t :
+                 {native, sim::SimdTarget::Portable}) {
+                for (const sim::ReplayKernel k :
+                     {sim::ReplayKernel::ConeWalk,
+                      sim::ReplayKernel::Events}) {
+                    if (runWideKernel(flat, faults, blocks, lw, t, k) !=
+                        want) {
+                        std::cerr << "FATAL: kernel digest mismatch on "
+                                  << sc.name << " at " << 64 * lw
+                                  << " lanes\n";
+                        return 1;
+                    }
+                }
+                if (runFaultParallelKernel(flat, faults, col, plan,
+                                           blocks, lw, t) != want) {
+                    std::cerr << "FATAL: fault-parallel digest mismatch on "
+                              << sc.name << " at " << 64 * lw
+                              << " lanes\n";
+                    return 1;
+                }
             }
         }
 
@@ -451,23 +468,39 @@ main(int argc, char **argv)
         row.faults = faults.size();
         row.patterns = applied;
         row.hasRef = sc.withRef;
-        if (sc.withRef)
-            row.ref = bench::timeStats(
-                [&] { runReferenceKernel(sc.net, faults, narrow); },
-                reps);
         for (int lw : width_list) {
             const auto blocks = buildBlocks(ni, max_patterns, lw, applied);
-            WidthRow wr;
-            wr.lanes = 64 * lw;
-            wr.stats = bench::timeStats(
-                [&] { runWideKernel(flat, faults, blocks, lw, native); },
-                reps);
-            wr.fp = bench::timeStats(
+            // Sections 0-2: cone walk, events, fault-parallel; the
+            // 64-lane round adds the full-resimulation reference (3).
+            std::vector<std::function<void()>> sections = {
+                [&] {
+                    runWideKernel(flat, faults, blocks, lw, native,
+                                  sim::ReplayKernel::ConeWalk);
+                },
+                [&] {
+                    runWideKernel(flat, faults, blocks, lw, native,
+                                  sim::ReplayKernel::Events);
+                },
                 [&] {
                     runFaultParallelKernel(flat, faults, col, plan,
                                            blocks, lw, native);
-                },
-                reps);
+                }};
+            const bool withRef = sc.withRef && lw == 1;
+            if (withRef)
+                sections.push_back(
+                    [&] { runReferenceKernel(sc.net, faults, narrow); });
+            const bench::Interleaved t(sections, reps);
+            WidthRow wr;
+            wr.lanes = 64 * lw;
+            wr.stats = t.stats(0);
+            wr.events = t.stats(1);
+            wr.fp = t.stats(2);
+            wr.fpVsCone = t.ratio(0, 2);
+            wr.eventsVsWalk = t.ratio(0, 1);
+            if (withRef) {
+                row.ref = t.stats(3);
+                row.refVsCone = t.ratio(3, 0);
+            }
             row.widths.push_back(wr);
         }
         rows.push_back(row);
@@ -477,9 +510,11 @@ main(int argc, char **argv)
                           : std::string())
                   << "cone64 " << row.widths.front().stats.best
                   << "s, cone512 " << row.widths.back().stats.best
+                  << "s, events512 " << row.widths.back().events.best
                   << "s, fp512 " << row.widths.back().fp.best
                   << "s, 512v64 " << row.speedup512v64() << "x, fp "
-                  << row.speedupFp() << "x\n";
+                  << row.speedupFp() << "x, events "
+                  << row.widths.back().eventsVsWalk.median << "x\n";
     }
 
     emitJson(std::cout, rows, native);

@@ -12,8 +12,11 @@
  * each width the verdict digest is cross-checked between portable and
  * native dispatch and across --jobs values. Every packed timing is a
  * warmed-up best/median/stddev over --reps repetitions
- * (bench_stats.hh). Emits machine-readable JSON (stdout and a file)
- * so CI can archive the numbers.
+ * (bench_stats.hh). The pipeline, the per-fault reference and the
+ * scalar oracle run interleaved round by round, and each gated ratio
+ * is the median of per-round ratios, reported with its interquartile
+ * range. Emits machine-readable JSON (stdout and a file) so CI can
+ * archive the numbers.
  *
  * The campaign pipeline (lane-multiplexed fault batches,
  * sim/seq_batch_sim, at the default 64 lanes) is timed against the
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -256,11 +260,12 @@ struct Row
     bench::TimingStats scalar;
     bench::TimingStats packed;   // the campaign pipeline
     bench::TimingStats batchOff; // the per-fault reference
+    bench::PairedRatio scalarVsPacked, batchOffVsPacked;
     std::vector<std::pair<int, double>> jobsSeconds;
     std::vector<WidthRow> widths; // ascending lanes; widths[0] is 64
 
-    double speedup() const { return scalar.best / packed.best; }
-    double speedupFp() const { return batchOff.best / packed.best; }
+    double speedup() const { return scalarVsPacked.median; }
+    double speedupFp() const { return batchOffVsPacked.median; }
 
     /** Lane-periods simulated per second. A 512-lane campaign packs
      *  8x the sampled streams of a 64-lane one into each simulated
@@ -322,8 +327,10 @@ emitJson(std::ostream &os, const std::vector<Row> &rows,
         os << ", ";
         bench::emitStatsFields(os, "batch_off", r.batchOff);
         if (r.hasScalar)
-            os << ", \"speedup\": " << r.speedup();
+            os << ", \"speedup\": " << r.speedup()
+               << ", \"scalar_vs_packed_iqr\": " << r.scalarVsPacked.iqr;
         os << ", \"speedup_fp\": " << r.speedupFp()
+           << ", \"batch_off_vs_packed_iqr\": " << r.batchOffVsPacked.iqr
            << ", \"jobs_seconds\": {";
         for (std::size_t k = 0; k < r.jobsSeconds.size(); ++k)
             os << (k ? ", " : "") << "\"" << r.jobsSeconds[k].first
@@ -473,22 +480,31 @@ main(int argc, char **argv)
         row.lanes = lanes;
         row.hasScalar = sc.withOracle;
         row.hasWidths = sc.withWidths;
-        // The scalar oracle is orders of magnitude slower than every
-        // packed configuration; one untimed-warmup-free pass keeps the
-        // benchmark runnable while the packed timings get the full
-        // warmup + reps treatment.
-        if (sc.withOracle)
-            row.scalar = bench::timeStats(
-                [&] { runScalarOracle(sc.net, spec, opts, words); },
-                /*reps=*/1, /*warmup=*/0);
-        row.packed = bench::timeStats(
+        // The gated ratios divide the pipeline (section 0) into the
+        // per-fault reference (1) and, where it runs, the scalar
+        // oracle (2), all timed interleaved round by round. The scalar
+        // oracle is orders of magnitude slower than every packed
+        // configuration, so its rounds skip the warmup.
+        std::vector<std::function<void()>> sections = {
             [&] { fault::runSequentialCampaign(sc.net, spec, opts); },
-            sreps, swarm);
-        row.batchOff = bench::timeStats(
             [&] {
                 fault::referenceSequentialCampaign(sc.net, spec, opts);
-            },
-            sreps, swarm);
+            }};
+        if (sc.withOracle)
+            sections.push_back(
+                [&] { runScalarOracle(sc.net, spec, opts, words); });
+        if (swarm > 0)
+            for (std::size_t i = 0; i < 2; ++i)
+                sections[i]();
+        const bench::Interleaved t(sections, sreps, /*warmup=*/0);
+        row.packed = t.stats(0);
+        row.batchOff = t.stats(1);
+        row.packed.warmup = row.batchOff.warmup = swarm;
+        row.batchOffVsPacked = t.ratio(1, 0);
+        if (sc.withOracle) {
+            row.scalar = t.stats(2);
+            row.scalarVsPacked = t.ratio(2, 0);
+        }
         if (sc.withWidths) {
             for (int j : {2, 4, 8}) {
                 fault::SeqCampaignOptions jopts = opts;

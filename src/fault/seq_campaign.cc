@@ -264,7 +264,14 @@ classifySeqBatchChunk(const sim::SeqGoodTrace &trace,
                       const SeqCampaignOptions &opts,
                       engine::ProgressTracker *progress)
 {
+    // The verdict list outlives the chunk: allocating it whole, before
+    // the simulator, leaves the simulator's memory on top of the
+    // worker's heap, where freeing it lets the heap shrink back.
     BatchChunkOut out;
+    std::size_t nverdicts = 0;
+    for (std::size_t b = begin; b < end; ++b)
+        nverdicts += sb.plan.batches[b].size();
+    out.verdicts.reserve(nverdicts);
     const int Wg = rs.laneWords;
     sim::SeqFaultBatchSimulator bsim(trace, Wg);
     const int F = bsim.groupsPerBatch();

@@ -44,7 +44,7 @@ class Client
 
   private:
     int fd_ = -1;
-    jsonl::LineBuffer buf_;
+    jsonl::LineBuffer buf_{jsonl::LineBuffer::kUnbounded};
 };
 
 } // namespace scal::server

@@ -129,29 +129,80 @@ Value parse(const std::string &text);
 std::string escape(const std::string &s);
 
 /**
+ * Longest request line the daemon accepts, terminator excluded: room
+ * for an inline circuit of well over 100k gates, and a bound on what
+ * one connection can make the daemon buffer.
+ */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
+/**
  * Incremental newline framing over a byte stream: feed() raw reads,
- * pop() complete lines (without the terminator) as they arrive.
+ * pop() complete lines (without the terminator) as they arrive. Each
+ * byte is searched once and moved at most once more, so framing a
+ * burst of lines is linear in its bytes. A line longer than the cap
+ * latches overflowed(): pop() yields nothing from then on, and the
+ * caller should answer and drop the stream.
  */
 class LineBuffer
 {
   public:
-    void feed(const char *data, std::size_t n) { buf_.append(data, n); }
+    /** No cap at all, for a peer the reader trusts (a client reading
+     *  its own daemon's responses). */
+    static constexpr std::size_t kUnbounded = ~std::size_t{0};
+
+    explicit LineBuffer(std::size_t max_line = kMaxLineBytes)
+        : max_(max_line)
+    {
+    }
+
+    void
+    feed(const char *data, std::size_t n)
+    {
+        if (overflowed_)
+            return;
+        // Drop consumed bytes once they outweigh the live ones: each
+        // byte is moved at most once, amortized O(1).
+        if (head_ > 0 && head_ >= buf_.size() - head_) {
+            buf_.erase(0, head_);
+            scanned_ -= head_;
+            head_ = 0;
+        }
+        buf_.append(data, n);
+    }
 
     bool
     pop(std::string *line)
     {
-        const std::size_t nl = buf_.find('\n');
-        if (nl == std::string::npos)
+        if (overflowed_)
             return false;
-        *line = buf_.substr(0, nl);
-        if (!line->empty() && line->back() == '\r')
-            line->pop_back();
-        buf_.erase(0, nl + 1);
+        const std::size_t nl = buf_.find('\n', scanned_);
+        if (nl == std::string::npos) {
+            scanned_ = buf_.size();
+            overflowed_ = max_ != kUnbounded && buf_.size() - head_ > max_;
+            return false;
+        }
+        std::size_t len = nl - head_;
+        if (len > 0 && buf_[nl - 1] == '\r')
+            --len;
+        if (max_ != kUnbounded && len > max_) {
+            overflowed_ = true;
+            return false;
+        }
+        line->assign(buf_, head_, len);
+        head_ = scanned_ = nl + 1;
         return true;
     }
 
+    /** A line outgrew the cap; nothing more will be framed. */
+    bool overflowed() const { return overflowed_; }
+    std::size_t maxLine() const { return max_; }
+
   private:
     std::string buf_;
+    std::size_t head_ = 0;    ///< first byte of the unpopped data
+    std::size_t scanned_ = 0; ///< bytes before this hold no newline
+    std::size_t max_;
+    bool overflowed_ = false;
 };
 
 } // namespace scal::server::jsonl

@@ -332,6 +332,7 @@ statsResponse(const SchedulerStats &sched, const CacheStats &cache)
     s.emplace_back("rejected", jsonl::Value(sched.rejected));
     s.emplace_back("queued", jsonl::Value(sched.queued));
     s.emplace_back("running", jsonl::Value(sched.running));
+    s.emplace_back("retained_gates", jsonl::Value(sched.retainedGates));
 
     jsonl::Object c;
     c.emplace_back("hits", jsonl::Value(cache.hits));

@@ -58,6 +58,13 @@ Scheduler::infoOf(const Job &job)
     return out;
 }
 
+void
+Scheduler::releaseInputs(Job &job)
+{
+    job.cfg.net = netlist::Netlist();
+    job.cfg.spec = fault::SeqCampaignSpec();
+}
+
 jsonl::Value
 Scheduler::terminalEvent(const Job &job)
 {
@@ -102,6 +109,7 @@ Scheduler::submit(JobConfig cfg)
             job->cacheHit = true;
             job->verdict = std::move(hit.verdict);
             job->tail = std::move(hit.tail);
+            releaseInputs(*job);
             ++stats_.completed;
         } else {
             job->cancel = std::make_shared<engine::CancelToken>();
@@ -137,6 +145,7 @@ Scheduler::cancel(std::uint64_t id)
             if (qit != queue_.end())
                 queue_.erase(qit);
             job.state = JobState::Cancelled;
+            releaseInputs(job);
             ++stats_.cancelled;
             subs = std::move(job.subscribers);
             job.subscribers.clear();
@@ -224,11 +233,12 @@ Scheduler::stats() const
     std::lock_guard<std::mutex> lock(mu_);
     SchedulerStats out = stats_;
     out.queued = queue_.size();
-    std::size_t running = 0;
-    for (const auto &kv : jobs_)
+    for (const auto &kv : jobs_) {
         if (kv.second->state == JobState::Running)
-            ++running;
-    out.running = running;
+            ++out.running;
+        out.retainedGates +=
+            static_cast<std::size_t>(kv.second->cfg.net.numGates());
+    }
     return out;
 }
 
@@ -248,6 +258,7 @@ Scheduler::stop()
                 continue;
             Job &job = *it->second;
             job.state = JobState::Cancelled;
+            releaseInputs(job);
             ++stats_.cancelled;
             events.emplace_back(terminalEvent(job),
                                 std::move(job.subscribers));
@@ -524,6 +535,7 @@ Scheduler::finishJob(const std::shared_ptr<Job> &job, JobState state,
         job->verdict = std::move(verdict);
         job->tail = std::move(tail);
         job->error = std::move(error);
+        releaseInputs(*job);
         switch (state) {
           case JobState::Done:      ++stats_.completed; break;
           case JobState::Failed:    ++stats_.failed; break;

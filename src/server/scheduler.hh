@@ -121,6 +121,10 @@ struct SchedulerStats
     std::uint64_t rejected = 0; ///< backpressure rejections
     std::size_t queued = 0;
     std::size_t running = 0;
+    /** Netlist gates the job records still hold. Only queued and
+     *  running jobs keep their circuit; a terminal record keeps just
+     *  what list/status/result serve. */
+    std::size_t retainedGates = 0;
 };
 
 class Scheduler
@@ -200,6 +204,9 @@ class Scheduler
     };
 
     static JobInfo infoOf(const Job &job);
+    /** Drop the campaign inputs (netlist, seq spec) of a job that
+     *  will never run again, so served records stay small. */
+    static void releaseInputs(Job &job);
     static jsonl::Value terminalEvent(const Job &job);
 
     void workerLoop();

@@ -164,6 +164,16 @@ Server::serveConnection(const std::shared_ptr<Conn> &conn)
                 continue;
             keepGoing = handleLine(conn, line, ++lineNo);
         }
+        if (keepGoing && buf.overflowed()) {
+            // Stop buffering the oversized line: answer with the
+            // number it would have had and drop the connection.
+            sendLine(conn, errorResponse("request line exceeds " +
+                                             std::to_string(buf.maxLine()) +
+                                             " bytes",
+                                         lineNo + 1)
+                               .dump());
+            break;
+        }
     }
     std::lock_guard<std::mutex> lock(conn->writeMu);
     conn->open = false;

@@ -353,7 +353,6 @@ BatchClassifier::setRange(int group_begin, int group_end)
         FlipBatch &fb = flipBatches_[static_cast<std::size_t>(b)];
         fb.roots.push_back(plan_.groupRoots_[gi]);
         fb.groups.push_back(gi);
-        fb.work.insert(fb.work.end(), cone, cone + len);
         for (std::size_t i = 0; i < len; ++i)
             lastBatch_[cone[i]] = b;
     }
@@ -382,16 +381,9 @@ BatchClassifier::setRange(int group_begin, int group_end)
         Batch &bt = batches_[static_cast<std::size_t>(b)];
         bt.faults.push_back(plan_.simFault_[c]);
         bt.members.push_back({c, pos});
-        bt.work.insert(bt.work.end(), cone, cone + len);
         for (std::size_t i = 0; i < len; ++i)
             lastBatch_[cone[i]] = b;
     }
-    // Members are cone-disjoint, so each worklist is the plain
-    // concatenation of their cones put back in replay order.
-    for (FlipBatch &fb : flipBatches_)
-        sortByTopo(plan_.flat(), fb.work);
-    for (Batch &bt : batches_)
-        sortByTopo(plan_.flat(), bt.work);
 }
 
 void
@@ -419,6 +411,20 @@ BatchClassifier::computeSens(GateId g, const std::uint64_t *lines,
         // complement for OR-like ones. Prefix/suffix products.
         const bool orLike = flat.kind(g) == GateKind::Or ||
                             flat.kind(g) == GateKind::Nor;
+        if (ar == 2) {
+            // The common case, without the prefix/suffix passes: each
+            // pin's sensitivity is the other pin's indicator.
+            const std::uint64_t *v0 =
+                lines + static_cast<std::size_t>(in[0]) * W;
+            const std::uint64_t *v1 =
+                lines + static_cast<std::size_t>(in[1]) * W;
+            const std::uint64_t flip = orLike ? ~std::uint64_t{0} : 0;
+            for (std::size_t w = 0; w < W; ++w) {
+                sens[w] = v1[w] ^ flip;
+                sens[W + w] = v0[w] ^ flip;
+            }
+            break;
+        }
         std::uint64_t *pre = sensScratch_.data() +
                              static_cast<std::size_t>(ar) * W;
         std::uint64_t *suf = pre + (static_cast<std::size_t>(ar) + 1) * W;
@@ -659,8 +665,7 @@ BatchClassifier::classifyBlock(const Emit &emit)
                                   sim_.goodLines(1).data()};
     for (const FlipBatch &fb : flipBatches_) {
         for (int p = 0; p < 2; ++p) {
-            sim_.replayFlips(fb.roots.data(), fb.roots.size(),
-                             fb.work.data(), fb.work.size(), p);
+            sim_.replayFlips(fb.roots.data(), fb.roots.size(), p);
             for (const int gi : fb.groups) {
                 const std::int32_t t0 = plan_.rootTapOff_[gi];
                 const std::int32_t t1 =
@@ -687,13 +692,9 @@ BatchClassifier::classifyBlock(const Emit &emit)
     // drives (disjointness makes the attribution exact).
     for (const Batch &bt : batches_) {
         const std::uint64_t *f0 =
-            sim_.faultOutputsOver(bt.faults.data(), bt.faults.size(),
-                                  bt.work.data(), bt.work.size(), 0)
-                .data();
+            sim_.faultOutputs(bt.faults.data(), bt.faults.size(), 0).data();
         const std::uint64_t *f1 =
-            sim_.faultOutputsOver(bt.faults.data(), bt.faults.size(),
-                                  bt.work.data(), bt.work.size(), 1)
-                .data();
+            sim_.faultOutputs(bt.faults.data(), bt.faults.size(), 1).data();
         for (const Member &mb : bt.members) {
             WideMasks m;
             const std::int32_t o0 = plan_.ownOff_[mb.cls];

@@ -34,8 +34,10 @@
  *    pairwise-disjoint fanout cones are packed into one replay pass
  *    (exact by superposition: a fault's effect never leaves its cone,
  *    so disjoint cones cannot interact) with each member's fold
- *    restricted to the outputs its own cone drives. Batch worklists
- *    are merged and sorted once per shard, not per pass.
+ *    restricted to the outputs its own cone drives. The batches are
+ *    packed once per shard; each pass is one event-driven replay
+ *    seeded from its members' injections, so no batch keeps a
+ *    worklist.
  *  - **CPT.** Inside an FFR the path from any line to the FFR root is
  *    unique, so fault propagation to the root is exact single-path
  *    sensitization: err_root = excitation & criticality, where
@@ -230,14 +232,12 @@ class BatchClassifier
     struct Batch
     {
         std::vector<netlist::Fault> faults;
-        std::vector<netlist::GateId> work;
         std::vector<Member> members;
     };
     /** One flip replay covering several cone-disjoint group roots. */
     struct FlipBatch
     {
         std::vector<netlist::GateId> roots;
-        std::vector<netlist::GateId> work;
         std::vector<int> groups;
     };
 

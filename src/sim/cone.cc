@@ -90,6 +90,9 @@ ReplayScratch::ReplayScratch(const FlatNetlist &flat,
     faulty_.assign(n * W_, 0);
     stamp_.assign(n, 0);
     forced_.assign(n, 0);
+    flagged_.assign(n, 0);
+    pending_.assign((n + 63) / 64, 0);
+    pendLo_ = pending_.size();
     ptrs_.assign(static_cast<std::size_t>(std::max(1, flat.maxArity())),
                  nullptr);
 }
@@ -99,7 +102,17 @@ ReplayScratch::resetStamps()
 {
     std::fill(stamp_.begin(), stamp_.end(), 0);
     std::fill(forced_.begin(), forced_.end(), 0);
+    std::fill(flagged_.begin(), flagged_.end(), 0);
     epoch_ = 1;
+}
+
+void
+ReplayScratch::clearPending()
+{
+    std::fill(pending_.begin() + static_cast<std::ptrdiff_t>(pendLo_),
+              pending_.begin() + static_cast<std::ptrdiff_t>(pendHi_), 0);
+    pendLo_ = pending_.size();
+    pendHi_ = 0;
 }
 
 } // namespace scal::sim

@@ -14,9 +14,17 @@
  *    is the one place that decides how a cone is enumerated.
  *  - ReplayScratch is the epoch-stamped copy-on-write state one cone
  *    replay runs in: faulty line blocks valid iff stamp[g] == epoch,
- *    caller-forced gates, and the kernel's fan-in pointer scratch,
- *    plus thin wrappers over the sim/wide.hh replay / assembly /
- *    latch kernels that supply it.
+ *    caller-forced gates, the pending-gate bitset of the event-driven
+ *    replay and the kernel's fan-in pointer scratch, plus thin
+ *    wrappers over the sim/wide.hh replay / assembly / latch kernels
+ *    that supply it.
+ *
+ * Production replays are event-driven (replayEvents): seeded from the
+ * injections, they recompute only gates with a changed fan-in, and
+ * need no cone at all. The cone walk over a FanoutCones worklist
+ * (replay) is the oracle they are checked against: the per-fault
+ * sequential reference runs on it, and FaultSimulator can be built
+ * on it (ReplayKernel::ConeWalk).
  *
  * Both are single-threaded scratch, sized once at construction: the
  * per-fault and per-period hot paths allocate nothing.
@@ -34,6 +42,13 @@
 
 namespace scal::sim
 {
+
+/** Which replay kernel a simulator runs (see the file comment). */
+enum class ReplayKernel : std::uint8_t
+{
+    Events,   ///< event-driven replay, the production kernel
+    ConeWalk, ///< cone-walk oracle over a sorted fanout-cone worklist
+};
 
 /** Sort @p gates in place by ascending topoPos (the replay order). */
 void sortByTopo(const FlatNetlist &flat,
@@ -93,13 +108,15 @@ class ReplayScratch
   public:
     ReplayScratch(const FlatNetlist &flat, const detail::WideKernels &k);
 
-    /** Start a new injection: every line reads its good value again
-     *  and no gate is forced. */
+    /** Start a new injection: every line reads its good value again,
+     *  no gate is forced and none is pending. */
     void
     bump()
     {
         if (++epoch_ == 0)
             resetStamps(); // wraparound: stale stamps would alias
+        if (pendLo_ < pendHi_) // marks a cone-walk replay left behind
+            clearPending();
     }
 
     /** Faulty block of line @p g (meaningful once stamped). */
@@ -119,19 +136,36 @@ class ReplayScratch
     force(netlist::GateId g)
     {
         forced_[static_cast<std::size_t>(g)] = epoch_;
+        flagged_[static_cast<std::size_t>(g)] = epoch_;
     }
     bool forced(netlist::GateId g) const
     {
         return forced_[static_cast<std::size_t>(g)] == epoch_;
     }
+    bool stamped(netlist::GateId g) const
+    {
+        return stamp_[static_cast<std::size_t>(g)] == epoch_;
+    }
+    /** Queue every combinational consumer of @p g: a caller that
+     *  stamps a line itself calls this so the change propagates. */
+    void
+    markConsumers(netlist::GateId g)
+    {
+        const int pos = flat_.levelPos(g);
+        const std::int32_t *cp = flat_.consumersAt(pos);
+        for (int k = 0, n = flat_.fanoutAt(pos); k < n; ++k)
+            setPending(static_cast<std::size_t>(cp[k]));
+    }
     /** Pin line @p g to the W-word @p block (force + live faulty
-     *  copy); returns the replay frontier it opens. */
+     *  copy) and queue its consumers; returns the cone-walk frontier
+     *  it opens. */
     int
     pin(netlist::GateId g, const std::uint64_t *block)
     {
         force(g);
         std::copy(block, block + W_, line(g));
         stamp(g);
+        markConsumers(g);
         return flat_.fanoutDegree(g);
     }
 
@@ -146,7 +180,39 @@ class ReplayScratch
         return base + static_cast<std::size_t>(g) * W_;
     }
 
-    /** WideKernels::replayCone over this scratch. */
+    /**
+     * WideKernels::replayEvents over this scratch: every gate marked
+     * since bump() plus the injection targets of @p binj / @p sinj
+     * are recomputed, and changes propagate to their consumers. With
+     * nothing stamped and no branch pin, no line can change (a stem
+     * injection only repins a value its caller already seeded), so
+     * the call returns at once.
+     */
+    void
+    replayEvents(const std::uint64_t *good,
+                 const detail::WideBranchInj *binj, std::size_t nbinj,
+                 const detail::WideStemInj *sinj, std::size_t nsinj)
+    {
+        if (pendLo_ >= pendHi_ && nbinj == 0)
+            return;
+        for (std::size_t b = 0; b < nbinj; ++b) {
+            flagged_[static_cast<std::size_t>(binj[b].consumer)] = epoch_;
+            mark(binj[b].consumer);
+        }
+        for (std::size_t k = 0; k < nsinj; ++k) {
+            flagged_[static_cast<std::size_t>(sinj[k].gate)] = epoch_;
+            mark(sinj[k].gate);
+        }
+        k_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
+                         forced_.data(), flagged_.data(), epoch_,
+                         pending_.data(), pendLo_, pendHi_, binj, nbinj,
+                         sinj, nsinj, ptrs_.data());
+        pendLo_ = pending_.size();
+        pendHi_ = 0;
+    }
+
+    /** WideKernels::replayCone (the cone-walk oracle) over this
+     *  scratch. */
     void
     replay(const std::uint64_t *good, const netlist::GateId *work,
            std::size_t nwork, const detail::WideBranchInj *binj,
@@ -182,6 +248,21 @@ class ReplayScratch
 
   private:
     void resetStamps();
+    void clearPending();
+    /** Queue gate @p g for the next replayEvents(). */
+    void
+    mark(netlist::GateId g)
+    {
+        setPending(static_cast<std::size_t>(flat_.levelPos(g)));
+    }
+    void
+    setPending(std::size_t pos)
+    {
+        const std::size_t w = pos / 64;
+        pending_[w] |= std::uint64_t{1} << (pos % 64);
+        pendLo_ = std::min(pendLo_, w);
+        pendHi_ = std::max(pendHi_, w + 1);
+    }
 
     const FlatNetlist &flat_;
     const detail::WideKernels *k_;
@@ -189,7 +270,14 @@ class ReplayScratch
     WordVec faulty_;
     std::vector<std::uint32_t> stamp_;
     std::vector<std::uint32_t> forced_;
+    /** flagged_[g] == epoch_: g is forced or carries a branch or
+     *  stem injection. */
+    std::vector<std::uint32_t> flagged_;
     std::uint32_t epoch_ = 0;
+    /** Pending gates by level-order position; marks all lie in words
+     *  [pendLo_, pendHi_), an empty range when lo >= hi. */
+    std::vector<std::uint64_t> pending_;
+    std::size_t pendLo_ = 0, pendHi_ = 0;
     std::vector<const std::uint64_t *> ptrs_;
 };
 

@@ -9,9 +9,10 @@ namespace scal::sim
 using namespace netlist;
 
 FaultSimulator::FaultSimulator(const FlatNetlist &flat, int lane_words,
-                               SimdTarget simd)
+                               SimdTarget simd, ReplayKernel kernel)
     : flat_(flat), kernels_(&wideKernels(lane_words, simd)),
-      laneWords_(lane_words), cones_(flat), scratch_(flat, *kernels_)
+      laneWords_(lane_words), coneWalk_(kernel == ReplayKernel::ConeWalk),
+      cones_(flat), scratch_(flat, *kernels_)
 {
     const std::size_t n = static_cast<std::size_t>(flat_.numGates());
     const std::size_t W = static_cast<std::size_t>(laneWords_);
@@ -118,20 +119,65 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
 }
 
 void
-FaultSimulator::replayAndAssemble(int phase, const InjectPrep &prep,
-                                  const GateId *work, std::size_t num_work)
+FaultSimulator::replay(int phase, const InjectPrep &prep)
 {
+    const std::uint64_t *good = goodLines_[phase].data();
+    if (!coneWalk_) {
+        scratch_.replayEvents(good, branchInj_.data(), branchInj_.size(),
+                              nullptr, 0);
+        return;
+    }
+    if (prep.frontier == 0 && branchInj_.empty())
+        return;
+    // Worklist: the memoized cone for a single seed, the sorted union
+    // of cones otherwise.
+    const bool one_seed =
+        std::all_of(seeds_.begin(), seeds_.end(),
+                    [this](GateId g) { return g == seeds_[0]; });
+    const std::vector<GateId> &work =
+        one_seed ? cones_.cone(seeds_[0])
+                 : cones_.unionCone(seeds_.data(), seeds_.size());
+    scratch_.replay(good, work.data(), work.size(), branchInj_.data(),
+                    branchInj_.size(), nullptr, 0, prep.lastBranchPos,
+                    prep.frontier);
+}
+
+void
+FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
+                            int phase)
+{
+    scratch_.bump();
+    branchInj_.clear();
+    if (coneWalk_)
+        seeds_.assign(lines, lines + num_lines);
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::uint64_t *good = goodLines_[phase].data();
+    InjectPrep prep;
+    for (std::size_t k = 0; k < num_lines; ++k) {
+        const GateId g = lines[k];
+        scratch_.force(g);
+        const std::uint64_t *gd = good + static_cast<std::size_t>(g) * W;
+        std::uint64_t *fv = scratch_.line(g);
+        for (std::size_t w = 0; w < W; ++w)
+            fv[w] = ~gd[w];
+        scratch_.stamp(g);
+        scratch_.markConsumers(g);
+        prep.frontier += flat_.fanoutDegree(g);
+    }
+    replay(phase, prep);
+}
 
-    if (prep.frontier != 0 || !branchInj_.empty())
-        scratch_.replay(good, work, num_work, branchInj_.data(),
-                        branchInj_.size(), nullptr, 0, prep.lastBranchPos,
-                        prep.frontier);
+void
+FaultSimulator::simulate(int phase, const Fault *faults,
+                         std::size_t num_faults)
+{
+    const InjectPrep prep = prepareInjections(phase, faults, num_faults);
+    replay(phase, prep);
 
     // Output assembly (with output-tap overrides, reference order).
+    const std::size_t W = static_cast<std::size_t>(laneWords_);
     std::uint64_t *out = outBuf_[phase].data();
-    scratch_.assemble(good, out);
+    scratch_.assemble(goodLines_[phase].data(), out);
     for (const TapInjection &t : tapInj_) {
         if (t.outputIdx >= 0 && t.outputIdx < flat_.numOutputs() &&
             flat_.output(t.outputIdx) == t.driver) {
@@ -141,61 +187,6 @@ FaultSimulator::replayAndAssemble(int phase, const InjectPrep &prep,
                 dst[w] = t.value[w];
         }
     }
-}
-
-const std::vector<std::uint64_t> &
-FaultSimulator::faultOutputsOver(const Fault *faults,
-                                 std::size_t num_faults, const GateId *work,
-                                 std::size_t num_work, int phase)
-{
-    const InjectPrep prep = prepareInjections(phase, faults, num_faults);
-    replayAndAssemble(phase, prep, work, num_work);
-    return outBuf_[phase];
-}
-
-void
-FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
-                            const GateId *work, std::size_t num_work,
-                            int phase)
-{
-    scratch_.bump();
-    const std::size_t W = static_cast<std::size_t>(laneWords_);
-    const std::uint64_t *good = goodLines_[phase].data();
-    std::int64_t frontier = 0;
-    for (std::size_t k = 0; k < num_lines; ++k) {
-        const GateId g = lines[k];
-        scratch_.force(g);
-        const std::uint64_t *gd = good + static_cast<std::size_t>(g) * W;
-        std::uint64_t *fv = scratch_.line(g);
-        for (std::size_t w = 0; w < W; ++w)
-            fv[w] = ~gd[w];
-        scratch_.stamp(g);
-        frontier += flat_.fanoutDegree(g);
-    }
-    if (frontier != 0)
-        scratch_.replay(good, work, num_work, nullptr, 0, nullptr, 0, -1,
-                        frontier);
-}
-
-void
-FaultSimulator::simulate(int phase, const Fault *faults,
-                         std::size_t num_faults)
-{
-    const InjectPrep prep = prepareInjections(phase, faults, num_faults);
-
-    // Worklist: the memoized cone for a single seed, the sorted union
-    // of cones otherwise.
-    const std::vector<GateId> *work = nullptr;
-    if (prep.frontier != 0 || !branchInj_.empty()) {
-        const bool one_seed =
-            std::all_of(seeds_.begin(), seeds_.end(),
-                        [this](GateId g) { return g == seeds_[0]; });
-        work = one_seed ? &cones_.cone(seeds_[0])
-                        : &cones_.unionCone(seeds_.data(), seeds_.size());
-    }
-
-    replayAndAssemble(phase, prep, work ? work->data() : nullptr,
-                      work ? work->size() : 0);
 }
 
 AlternatingMasks

@@ -10,14 +10,17 @@
  *  1. the fault-free circuit is evaluated ONCE per pattern block and
  *     its line values cached (two phases for alternating campaigns:
  *     the block and its complement),
- *  2. each fault's structural fanout cone is precomputed, sorted in
- *     topological order, and memoized per fault site (stem faults key
- *     on the driver, branch faults on the consuming gate),
- *  3. injecting a fault resimulates cone gates only, reading all
- *     other lines from the cached good values, and short-circuits as
- *     soon as the frontier of differing lane blocks goes empty — for
- *     the common case of an unexcited fault that is a single block
- *     compare.
+ *  2. injecting a fault replays event-driven from the injection
+ *     sites (sim/cone.hh): only gates with a changed fan-in are
+ *     recomputed, every other line reads its cached good value, and
+ *     the replay ends when no change is left to propagate — for the
+ *     common case of an unexcited fault that is a single block
+ *     compare. No fanout cone is built or sorted per fault.
+ *
+ * Built with ReplayKernel::ConeWalk, the simulator instead walks each
+ * fault's memoized, topo-sorted fanout cone (the union of cones for
+ * several faults) with the frontier early exit: the oracle the event
+ * kernel is checked and timed against.
  *
  * Each line carries a lane block of laneWords() uint64 words (1, 4 or
  * 8 words → 64, 256 or 512 packed patterns per replay); the gate
@@ -77,7 +80,8 @@ class FaultSimulator
      * policy (Auto = SCAL_SIMD override or widest native).
      */
     explicit FaultSimulator(const FlatNetlist &flat, int lane_words = 1,
-                            SimdTarget simd = SimdTarget::Auto);
+                            SimdTarget simd = SimdTarget::Auto,
+                            ReplayKernel kernel = ReplayKernel::Events);
 
     /** Words per lane block (1, 4 or 8). */
     int laneWords() const { return laneWords_; }
@@ -137,36 +141,20 @@ class FaultSimulator
     }
 
     /**
-     * As faultOutputs(faults, num_faults, phase), but replaying the
-     * caller-supplied worklist @p work (@p num_work gates sorted by
-     * ascending topoPos, covering the union of the faults' fanout
-     * cones) instead of deriving and sorting the cone union per call.
-     * This is the batch-simulation entry point: a fault batcher that
-     * pre-merges member cones once per shard skips the per-pass cone
-     * union entirely. Output-tap faults are still applied at assembly.
-     */
-    const std::vector<std::uint64_t> &
-    faultOutputsOver(const netlist::Fault *faults, std::size_t num_faults,
-                     const netlist::GateId *work, std::size_t num_work,
-                     int phase = 0);
-
-    /**
      * Replay-only flip injection: force each line of @p lines to the
-     * complement of its cached @p phase good value and replay the
-     * caller-supplied worklist (ascending topoPos, covering the union
-     * of the lines' fanout cones). No output assembly — read results
-     * with lineValue(). One flip pass carries BOTH stuck-at
-     * polarities of a line: lane-wise, a stuck-at-v fault behaves
-     * exactly like the flip wherever the good value is ~v and has no
-     * effect elsewhere, so err(sa-v) = excitation_v & flip error.
+     * complement of its cached @p phase good value and replay. No
+     * output assembly — read results with lineValue(). One flip pass
+     * carries BOTH stuck-at polarities of a line: lane-wise, a
+     * stuck-at-v fault behaves exactly like the flip wherever the
+     * good value is ~v and has no effect elsewhere, so err(sa-v) =
+     * excitation_v & flip error.
      */
     void replayFlips(const netlist::GateId *lines, std::size_t num_lines,
-                     const netlist::GateId *work, std::size_t num_work,
                      int phase);
 
     /**
      * The value block of line @p g after the immediately preceding
-     * replayFlips()/faultOutputs*() call: the replayed faulty value
+     * replayFlips()/faultOutputs() call: the replayed faulty value
      * where it differs from the @p phase baseline, the cached good
      * value elsewhere. Valid until the next injection call.
      */
@@ -213,9 +201,7 @@ class FaultSimulator
                   const std::uint64_t *dff_state);
     InjectPrep prepareInjections(int phase, const netlist::Fault *faults,
                                  std::size_t num_faults);
-    void replayAndAssemble(int phase, const InjectPrep &prep,
-                           const netlist::GateId *work,
-                           std::size_t num_work);
+    void replay(int phase, const InjectPrep &prep);
     void simulate(int phase, const netlist::Fault *faults,
                   std::size_t num_faults);
 
@@ -228,9 +214,12 @@ class FaultSimulator
     std::vector<std::uint64_t> goodOut_[2];
     std::vector<std::uint64_t> outBuf_[2];
 
+    bool coneWalk_;
+    /** Cone memo of the cone-walk oracle (unused by the event
+     *  kernel). */
     FanoutCones cones_;
     ReplayScratch scratch_;
-    /** Cone seeds of the current injection set. */
+    /** Cone seeds of the current injection set (cone walk only). */
     std::vector<netlist::GateId> seeds_;
     WordVec inbarScratch_;
 

@@ -85,6 +85,39 @@ FlatNetlist::FlatNetlist(const Netlist &net)
         level_[g] = lvl;
         nlevels_ = std::max(nlevels_, lvl + 1);
     }
+    // Level order: a counting sort of the topological order by level.
+    // Consumers sit on strictly higher levels than their drivers (Dff
+    // D pins are not combinational edges), so it is itself
+    // topological.
+    levelPos_.assign(n_, 0);
+    levelStarts_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+    {
+        const int nl =
+            n_ ? 1 + *std::max_element(level_.begin(), level_.end()) : 0;
+        std::vector<std::int32_t> at(static_cast<std::size_t>(nl) + 1, 0);
+        for (GateId g = 0; g < n_; ++g)
+            ++at[level_[g] + 1];
+        for (int l = 0; l < nl; ++l) {
+            at[l + 1] += at[l];
+            const int start = at[l];
+            levelStarts_[static_cast<std::size_t>(start) / 64] |=
+                std::uint64_t{1} << (start % 64);
+        }
+        for (const GateId g : topo_)
+            levelPos_[g] = at[level_[g]]++;
+    }
+    levelOrder_.resize(n_);
+    for (GateId g = 0; g < n_; ++g)
+        levelOrder_[levelPos_[g]] = g;
+    levelConsOff_.assign(n_ + 1, 0);
+    levelCons_.resize(cons_.size());
+    for (int i = 0; i < n_; ++i) {
+        const GateId g = levelOrder_[i];
+        levelConsOff_[i + 1] = levelConsOff_[i] + consOff_[g + 1] - consOff_[g];
+        for (int k = consOff_[g]; k < consOff_[g + 1]; ++k)
+            levelCons_[levelConsOff_[i] + k - consOff_[g]] =
+                levelPos_[cons_[k]];
+    }
 
     // O(1) lookup tables replacing the evaluators' linear scans.
     inputIndex_.assign(n_, -1);

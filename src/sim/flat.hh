@@ -11,7 +11,9 @@
  *  - kinds[], fanin CSR, consumer CSR (combinational edges only),
  *    per-gate output-tap lists,
  *  - the topological order, each gate's position in it, and its
- *    logic level,
+ *    logic level; the level order (gates sorted by level) that the
+ *    event-driven replay schedules by, with the consumer CSR re-keyed
+ *    by it,
  *  - O(1) GateId -> input-index and GateId -> flip-flop-index tables
  *    (replacing the linear scans the scalar/packed evaluators did per
  *    Dff gate).
@@ -95,6 +97,31 @@ class FlatNetlist
     /** Logic level: 0 for sources, 1 + max(fanin level) otherwise. */
     int level(netlist::GateId g) const { return level_[g]; }
 
+    /** @name Level order: the gates sorted by (level, topoPos) */
+    /** @{ */
+    /** A topological order in which every level is one contiguous
+     *  run, so no combinational edge joins two gates of one run. */
+    const std::vector<netlist::GateId> &levelOrder() const
+    {
+        return levelOrder_;
+    }
+    /** Position of @p g within levelOrder(). */
+    int levelPos(netlist::GateId g) const { return levelPos_[g]; }
+    /** Bitset over levelOrder() positions: bit p (of word p / 64) is
+     *  set iff position p is the first of its level. */
+    const std::uint64_t *levelStarts() const { return levelStarts_.data(); }
+    /** The consumer CSR re-keyed by levelOrder() position: the
+     *  positions of the consumers of the gate at position @p pos. */
+    int fanoutAt(int pos) const
+    {
+        return levelConsOff_[pos + 1] - levelConsOff_[pos];
+    }
+    const std::int32_t *consumersAt(int pos) const
+    {
+        return levelCons_.data() + levelConsOff_[pos];
+    }
+    /** @} */
+
     /** Index of @p g within the primary inputs, or -1. */
     int inputIndex(netlist::GateId g) const { return inputIndex_[g]; }
     /** Index of @p g within the flip-flop state vector, or -1. */
@@ -131,6 +158,11 @@ class FlatNetlist
     std::vector<netlist::GateId> topo_;
     std::vector<std::int32_t> topoPos_;
     std::vector<std::int32_t> level_;
+    std::vector<netlist::GateId> levelOrder_;
+    std::vector<std::int32_t> levelPos_;
+    std::vector<std::uint64_t> levelStarts_;
+    std::vector<std::int32_t> levelConsOff_;
+    std::vector<std::int32_t> levelCons_;
     std::vector<std::int32_t> inputIndex_;
     std::vector<std::int32_t> ffIndex_;
     std::vector<netlist::GateId> ffGates_;

@@ -109,7 +109,7 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     : trace_(trace), flat_(trace.flat()), kernels_(&trace.kernels()),
       Wb_(trace.laneWords()), Wg_(group_words),
       F_(group_words > 0 ? trace.laneWords() / group_words : 0),
-      cones_(flat_), scratch_(flat_, *kernels_)
+      scratch_(flat_, *kernels_)
 {
     if (Wg_ < 1 || F_ < 1 || Wg_ * F_ != Wb_)
         throw std::invalid_argument(
@@ -133,7 +133,6 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     buf0_.assign(no * W, 0);
     alarmBuf_.assign(W, 0);
     wrongBuf_.assign(W, 0);
-    seeds_.reserve(nff + static_cast<std::size_t>(2 * F_));
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
 }
@@ -207,21 +206,15 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     }
 
     scratch_.bump();
-    std::int64_t frontier = 0;
-    int last_branch_pos = -1;
-    seeds_.clear();
     binj_.clear();
     sinj_.clear();
     stemFresh_.clear();
 
     // (1) Diverged flip-flop seeds first: faulty state overrides the
     // trace line of each diverged Dff for every lane at once.
-    for (const std::int32_t ffi : diverged_) {
-        const GateId g = flat_.ffGate(ffi);
-        frontier += scratch_.pin(
-            g, faultyState_.data() + static_cast<std::size_t>(ffi) * W);
-        seeds_.push_back(g);
-    }
+    for (const std::int32_t ffi : diverged_)
+        scratch_.pin(flat_.ffGate(ffi),
+                     faultyState_.data() + static_cast<std::size_t>(ffi) * W);
 
     if (active) {
         // (2) Stem injections. A Dff driver keeps the whole-block
@@ -283,9 +276,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             if (!std::equal(fv, fv + W,
                             good + static_cast<std::size_t>(d) * W)) {
                 scratch_.stamp(d);
-                frontier += flat_.fanoutDegree(d);
+                scratch_.markConsumers(d);
             }
-            seeds_.push_back(d);
         }
 
         // (3) Merged branch injections, one per (consumer, pin), each
@@ -302,15 +294,11 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                 flat_.fanins(c)[s.pin] != s.driver)
                 continue; // kernel-inert combination, as per fault
             std::uint64_t *val = nullptr, *msk = nullptr;
-            bool seen_consumer = false;
             for (std::size_t k = 0; k < binj_.size(); ++k) {
                 const detail::WideBranchInj &bi = binj_[k];
-                if (bi.consumer == c) {
-                    seen_consumer = true;
-                    if (bi.pin == s.pin) {
-                        val = injVals_.data() + k * W;
-                        msk = injMasks_.data() + k * W;
-                    }
+                if (bi.consumer == c && bi.pin == s.pin) {
+                    val = injVals_.data() + k * W;
+                    msk = injMasks_.data() + k * W;
                 }
             }
             if (!val) {
@@ -319,10 +307,6 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                 msk = injMasks_.data() + slot;
                 std::fill_n(msk, W, 0);
                 binj_.push_back({c, s.driver, s.pin, val, msk});
-                if (!seen_consumer)
-                    seeds_.push_back(c);
-                last_branch_pos =
-                    std::max(last_branch_pos, flat_.topoPos(c));
             }
             const std::uint64_t bc = s.value ? kAllOnes : 0;
             std::fill_n(val + f * Wg_, Wg_, bc);
@@ -330,15 +314,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
         }
     }
 
-    if (frontier != 0 || !binj_.empty()) {
-        const std::vector<GateId> &work =
-            seeds_.size() == 1
-                ? cones_.cone(seeds_[0])
-                : cones_.unionCone(seeds_.data(), seeds_.size());
-        scratch_.replay(good, work.data(), work.size(), binj_.data(),
-                        binj_.size(), sinj_.data(), sinj_.size(),
-                        last_branch_pos, frontier);
-    }
+    scratch_.replayEvents(good, binj_.data(), binj_.size(), sinj_.data(),
+                          sinj_.size());
 
     // Output assembly; active tap faults override their own lane
     // group only (every other group keeps the assembled value).

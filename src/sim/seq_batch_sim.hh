@@ -8,8 +8,10 @@
  * f of every trace row is bit-identical to the narrow trace the
  * per-fault path would build — the PR 4 layout guarantee (word w of a
  * wide block evolves exactly as word w of a narrow one) is what makes
- * the whole scheme sound. One cone-restricted replay pass then
- * advances up to groupsPerBatch() faults simultaneously; per-group
+ * the whole scheme sound. One event-driven replay pass per period
+ * (sim/cone.hh), seeded from the diverged flip-flops and the live
+ * injections, then advances up to groupsPerBatch() faults
+ * simultaneously; per-group
  * convergence/retire masks let individual faults drop out (verdict
  * settled) while the batch keeps running, and the converged-state +
  * window fast-forward fast paths of the per-fault kernel apply
@@ -22,8 +24,8 @@
  * the live driver block. Another batch member's divergence therefore
  * propagates *through* a pinned line exactly as it would alone, so
  * any faults can share a batch — planSeqBatches only packs sites in
- * topological order of their injection root, which keeps union replay
- * cones overlapping and small. (Dff stem drivers keep the whole-block
+ * topological order of their injection root, so batch-mates' replays
+ * touch mostly the same gates. (Dff stem drivers keep the whole-block
  * force: replay never recomputes state sources, and their non-own
  * lanes carry the seeded per-group state, which is already exact.)
  *
@@ -168,8 +170,7 @@ class SeqFaultBatchSimulator
     WordVec faultyState_;
     std::vector<std::int32_t> diverged_, divergedNext_;
 
-    /** Fanout cones (memo shared across batches) and replay state. */
-    FanoutCones cones_;
+    /** Event-driven replay state. */
     ReplayScratch scratch_;
 
     /** Per-period merged injection blocks (rebuilt from live sites). */
@@ -182,7 +183,6 @@ class SeqFaultBatchSimulator
 
     std::vector<std::uint64_t> outBuf_;
     std::vector<std::uint64_t> alarmBuf_, wrongBuf_;
-    std::vector<netlist::GateId> seeds_;
 
     /** Batch-wide verdict-fold stash (per-fault pending discipline). */
     long pending_ = -1;

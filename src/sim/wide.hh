@@ -106,7 +106,8 @@ struct WideKernels
                       const std::uint64_t *dff_state, int phi_input,
                       std::uint64_t phi_word, std::uint64_t *lines);
 
-    /** Cone replay over the topologically-sorted worklist @p work.
+    /** Cone-walk replay over the topologically-sorted worklist
+     *  @p work: the oracle replayEvents is checked against.
      *  Recomputes gates whose fan-ins are stamped (stamp[g]==epoch
      *  means faulty[g*W..] is live), applies branch injections,
      *  maintains the divergence frontier and exits early once it
@@ -121,6 +122,25 @@ struct WideKernels
                        const WideStemInj *sinj, std::size_t nsinj,
                        int last_branch_pos, std::int64_t frontier,
                        const std::uint64_t **ptr_scratch);
+
+    /** Event-driven replay: the production kernel. @p pending is a
+     *  bitset over FlatNetlist::levelOrder() positions whose set
+     *  bits, all inside words [@p lo, @p hi), are the gates to
+     *  recompute; the kernel pops them in ascending order, evaluates
+     *  each exactly as replayCone does, and marks a gate's consumers
+     *  whenever its value differs from good. It returns with
+     *  @p pending all clear. Only gates with flagged[g]==epoch can be
+     *  forced (skipped) or carry a branch or stem injection; every
+     *  other popped gate is a plain recompute. */
+    void (*replayEvents)(const FlatNetlist &flat, const std::uint64_t *good,
+                         std::uint64_t *faulty, std::uint32_t *stamp,
+                         const std::uint32_t *forced,
+                         const std::uint32_t *flagged, std::uint32_t epoch,
+                         std::uint64_t *pending, std::size_t lo,
+                         std::size_t hi, const WideBranchInj *binj,
+                         std::size_t nbinj, const WideStemInj *sinj,
+                         std::size_t nsinj,
+                         const std::uint64_t **ptr_scratch);
 
     /** Gather output blocks, reading faulty[] where stamped. */
     void (*assembleOutputs)(const FlatNetlist &flat,

@@ -14,6 +14,7 @@
  * code generation where the pragma is still active.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -84,6 +85,81 @@ evalLinesImpl(const FlatNetlist &flat, const std::uint64_t *inputs,
     }
 }
 
+/**
+ * Recompute non-source gate @p g of a replay into @p v: fan-ins read
+ * faulty[] where stamped this epoch, good[] elsewhere. When
+ * @p branch_target, the pins of @p binj aimed at g override their
+ * inputs (a lane-masked pin mixes its value over the live driver
+ * block); a non-null @p stem then repins its masked output lanes.
+ * Returns whether @p v differs from g's good block. Both replay
+ * kernels evaluate through this one body, so they agree gate for
+ * gate.
+ */
+template <int W>
+SCAL_SIM_ALWAYS_INLINE bool
+replayGate(const FlatNetlist &flat, netlist::GateId g,
+           const std::uint64_t *good, const std::uint64_t *faulty,
+           const std::uint32_t *stamp, std::uint32_t epoch,
+           bool branch_target, const WideBranchInj *binj, std::size_t nbinj,
+           const WideStemInj *stem, const std::uint64_t **ptrs,
+           std::uint64_t *v)
+{
+    using netlist::GateId;
+    const GateId *fi = flat.fanins(g);
+    const int a = flat.arity(g);
+    if (branch_target) {
+        // Scratch for lane-masked branch pins: one (live & ~mask) |
+        // (value & mask) mix per injected pin. The fault-batch caller
+        // merges injections per (consumer, pin), so a single gate sees
+        // at most one entry per multiplexed lane group.
+        constexpr int kMaxMix = static_cast<int>(kMaxLaneWords);
+        std::uint64_t mix[kMaxMix][W];
+        for (int k = 0; k < a; ++k) {
+            const GateId d = fi[k];
+            ptrs[k] = (stamp[d] == epoch ? faulty : good) +
+                      static_cast<std::size_t>(d) * W;
+        }
+        int nmix = 0;
+        for (std::size_t b = 0; b < nbinj; ++b) {
+            const WideBranchInj &bi = binj[b];
+            if (bi.consumer != g || bi.pin < 0 || bi.pin >= a ||
+                fi[bi.pin] != bi.driver)
+                continue;
+            if (bi.mask == nullptr || nmix == kMaxMix) {
+                ptrs[bi.pin] = bi.value;
+            } else {
+                std::uint64_t *m = mix[nmix++];
+                const std::uint64_t *live = ptrs[bi.pin];
+                for (int w = 0; w < W; ++w)
+                    m[w] = (live[w] & ~bi.mask[w]) |
+                           (bi.value[w] & bi.mask[w]);
+                ptrs[bi.pin] = m;
+            }
+        }
+        evalGateWords<W>(
+            flat.kind(g), [&](int k) { return ptrs[k]; }, a, v);
+    } else {
+        evalGateWords<W>(
+            flat.kind(g),
+            [&](int k) {
+                const GateId d = fi[k];
+                return (stamp[d] == epoch ? faulty : good) +
+                       static_cast<std::size_t>(d) * W;
+            },
+            a, v);
+    }
+    if (stem) {
+        for (int w = 0; w < W; ++w)
+            v[w] = (v[w] & ~stem->mask[w]) | (stem->value[w] & stem->mask[w]);
+    }
+    const std::uint64_t *gd = good + static_cast<std::size_t>(g) * W;
+    bool diff = false;
+    for (int w = 0; w < W; ++w)
+        diff |= v[w] != gd[w];
+    return diff;
+}
+
+/** The cone-walk oracle (WideKernels::replayCone). */
 template <int W>
 void
 replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
@@ -97,12 +173,6 @@ replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
 {
     using netlist::GateId;
     using netlist::GateKind;
-    // Scratch for lane-masked branch pins: one (live & ~mask) |
-    // (value & mask) mix per injected pin. The fault-batch caller
-    // merges injections per (consumer, pin), so a single gate sees at
-    // most one entry per multiplexed lane group.
-    constexpr int kMaxMix = static_cast<int>(kMaxLaneWords);
-    std::uint64_t mix[kMaxMix][W];
     for (std::size_t idx = 0; idx < nwork; ++idx) {
         const GateId g = work[idx];
         // Flip-flop outputs are period-state sources: inside a replay
@@ -133,52 +203,9 @@ replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
             }
             if (ndiff != 0 || is_branch_target || stem) {
                 std::uint64_t v[W];
-                if (is_branch_target) {
-                    for (int k = 0; k < a; ++k) {
-                        const GateId d = fi[k];
-                        ptrs[k] = (stamp[d] == epoch ? faulty : good) +
-                                  static_cast<std::size_t>(d) * W;
-                    }
-                    int nmix = 0;
-                    for (std::size_t b = 0; b < nbinj; ++b) {
-                        const WideBranchInj &bi = binj[b];
-                        if (bi.consumer != g || bi.pin < 0 || bi.pin >= a ||
-                            fi[bi.pin] != bi.driver)
-                            continue;
-                        if (bi.mask == nullptr || nmix == kMaxMix) {
-                            ptrs[bi.pin] = bi.value;
-                        } else {
-                            std::uint64_t *m = mix[nmix++];
-                            const std::uint64_t *live = ptrs[bi.pin];
-                            for (int w = 0; w < W; ++w)
-                                m[w] = (live[w] & ~bi.mask[w]) |
-                                       (bi.value[w] & bi.mask[w]);
-                            ptrs[bi.pin] = m;
-                        }
-                    }
-                    evalGateWords<W>(
-                        flat.kind(g), [&](int k) { return ptrs[k]; }, a, v);
-                } else {
-                    evalGateWords<W>(
-                        flat.kind(g),
-                        [&](int k) {
-                            const GateId d = fi[k];
-                            return (stamp[d] == epoch ? faulty : good) +
-                                   static_cast<std::size_t>(d) * W;
-                        },
-                        a, v);
-                }
-                if (stem) {
-                    for (int w = 0; w < W; ++w)
-                        v[w] = (v[w] & ~stem->mask[w]) |
-                               (stem->value[w] & stem->mask[w]);
-                }
-                const std::uint64_t *gd =
-                    good + static_cast<std::size_t>(g) * W;
-                bool diff = false;
-                for (int w = 0; w < W; ++w)
-                    diff |= v[w] != gd[w];
-                if (diff) {
+                if (replayGate<W>(flat, g, good, faulty, stamp, epoch,
+                                  is_branch_target, binj, nbinj, stem,
+                                  ptrs, v)) {
                     std::uint64_t *fv =
                         faulty + static_cast<std::size_t>(g) * W;
                     for (int w = 0; w < W; ++w)
@@ -192,6 +219,92 @@ replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
         }
         if (frontier == 0 && flat.topoPos(g) >= last_branch_pos)
             break;
+    }
+}
+
+/** The event-driven replay (WideKernels::replayEvents). */
+template <int W>
+void
+replayEventsImpl(const FlatNetlist &flat, const std::uint64_t *good,
+                 std::uint64_t *faulty, std::uint32_t *stamp,
+                 const std::uint32_t *forced, const std::uint32_t *flagged,
+                 std::uint32_t epoch, std::uint64_t *pending, std::size_t lo,
+                 std::size_t hi, const WideBranchInj *binj,
+                 std::size_t nbinj, const WideStemInj *sinj,
+                 std::size_t nsinj, const std::uint64_t **ptrs)
+{
+    using netlist::GateId;
+    const GateId *order = flat.levelOrder().data();
+    const std::uint64_t *starts = flat.levelStarts();
+    // Every consumer sits on a higher level than its driver, so marks
+    // only ever land past the end of the level being popped: one
+    // ascending pass over the words sees each pending gate after all
+    // of its fan-ins have settled. The same fact makes every pending
+    // bit of the lowest pending level ready at once, so a whole run
+    // of them is decoded without waiting on the marks its own
+    // evaluations make. Marks into the word being popped stay in a
+    // register.
+    for (std::size_t wi = lo; wi < hi; ++wi) {
+        const std::size_t base = wi * 64;
+        std::uint64_t bits = pending[wi];
+        pending[wi] = 0;
+        while (bits != 0) {
+            auto b = static_cast<std::size_t>(__builtin_ctzll(bits));
+            // The run: pending bits from b up to the next level start
+            // (all of them when no level starts later in the word).
+            const std::uint64_t later = starts[wi] & (~std::uint64_t{1} << b);
+            std::uint64_t run = bits & ((later & (~later + 1)) - 1);
+            bits &= ~run;
+            for (;;) {
+                const std::size_t pos = base + b;
+                const GateId g = order[pos];
+                run &= run - 1;
+                // Only injection targets and consumers of changed
+                // lines are ever marked, so no flip-flop (a state
+                // source, never a combinational consumer) gets here
+                // unforced; an unflagged gate is a plain recompute.
+                bool live = true;
+                bool is_branch_target = false;
+                const WideStemInj *stem = nullptr;
+                if (flagged[g] == epoch) {
+                    live = forced[g] != epoch;
+                    for (std::size_t k = 0; k < nbinj; ++k) {
+                        if (binj[k].consumer == g)
+                            is_branch_target = true;
+                    }
+                    for (std::size_t k = 0; k < nsinj; ++k) {
+                        if (sinj[k].gate == g)
+                            stem = &sinj[k];
+                    }
+                }
+                std::uint64_t v[W];
+                if (live && replayGate<W>(flat, g, good, faulty, stamp,
+                                          epoch, is_branch_target, binj,
+                                          nbinj, stem, ptrs, v)) {
+                    std::uint64_t *fv =
+                        faulty + static_cast<std::size_t>(g) * W;
+                    for (int w = 0; w < W; ++w)
+                        fv[w] = v[w];
+                    stamp[g] = epoch;
+                    const int ip = static_cast<int>(pos);
+                    const std::int32_t *cp = flat.consumersAt(ip);
+                    for (int k = 0, nc = flat.fanoutAt(ip); k < nc; ++k) {
+                        const auto p = static_cast<std::size_t>(cp[k]);
+                        const std::uint64_t bit = std::uint64_t{1}
+                                                  << (p % 64);
+                        if (p / 64 == wi) {
+                            bits |= bit;
+                        } else {
+                            pending[p / 64] |= bit;
+                            hi = std::max(hi, p / 64 + 1);
+                        }
+                    }
+                }
+                if (run == 0)
+                    break;
+                b = static_cast<std::size_t>(__builtin_ctzll(run));
+            }
+        }
     }
 }
 
@@ -326,6 +439,12 @@ latchAndTrackImpl(const FlatNetlist &flat, const std::uint8_t *elig,
         const netlist::GateId *, std::size_t, const WideBranchInj *,        \
         std::size_t, const WideStemInj *, std::size_t, int, std::int64_t,   \
         const std::uint64_t **);                                            \
+    template void replayEventsImpl<W>(                                      \
+        const FlatNetlist &, const std::uint64_t *, std::uint64_t *,        \
+        std::uint32_t *, const std::uint32_t *, const std::uint32_t *,      \
+        std::uint32_t, std::uint64_t *, std::size_t, std::size_t,           \
+        const WideBranchInj *, std::size_t, const WideStemInj *,            \
+        std::size_t, const std::uint64_t **);                               \
     template void assembleOutputsImpl<W>(                                   \
         const FlatNetlist &, const std::uint64_t *, const std::uint64_t *,  \
         const std::uint32_t *, std::uint32_t, std::uint64_t *);             \
@@ -361,6 +480,7 @@ makeKernels(SimdTarget target)
     k.target = target;
     k.evalLines = &evalLinesImpl<W>;
     k.replayCone = &replayConeImpl<W>;
+    k.replayEvents = &replayEventsImpl<W>;
     k.assembleOutputs = &assembleOutputsImpl<W>;
     k.foldAlternating = &foldAlternatingImpl<W>;
     k.diffOr = &diffOrImpl<W>;

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -117,6 +118,66 @@ TEST(Jsonl, LineBufferFraming)
     buf.feed(":2}\n", 4);
     ASSERT_TRUE(buf.pop(&line));
     EXPECT_EQ(line, "{\"b\":2}");
+}
+
+TEST(Jsonl, LineBufferCapsLineLength)
+{
+    jsonl::LineBuffer buf(8);
+    std::string line;
+    buf.feed("12345678\n", 9); // exactly at the cap
+    ASSERT_TRUE(buf.pop(&line));
+    EXPECT_EQ(line, "12345678");
+    buf.feed("12345", 5);
+    EXPECT_FALSE(buf.pop(&line));
+    EXPECT_FALSE(buf.overflowed()); // still within the cap
+    buf.feed("6789", 4);
+    EXPECT_FALSE(buf.pop(&line));
+    EXPECT_TRUE(buf.overflowed());
+    buf.feed("\n{}\n", 4); // latched: nothing is framed any more
+    EXPECT_FALSE(buf.pop(&line));
+
+    // An oversized line that arrives whole in one read is caught too.
+    jsonl::LineBuffer whole(4);
+    whole.feed("ok\ntoolong\nok\n", 14);
+    ASSERT_TRUE(whole.pop(&line));
+    EXPECT_EQ(line, "ok");
+    EXPECT_FALSE(whole.pop(&line));
+    EXPECT_TRUE(whole.overflowed());
+}
+
+TEST(Jsonl, LineBufferFramesABurstInLinearTime)
+{
+    // 200,000 short lines fed at once: popping them used to erase
+    // from the front of the buffer per line, ~60 GB of memmove.
+    const std::size_t n = 200000;
+    std::string burst;
+    for (std::size_t i = 0; i < n; ++i)
+        burst += std::to_string(i % 10) + "\n";
+    jsonl::LineBuffer buf;
+    const auto t0 = std::chrono::steady_clock::now();
+    buf.feed(burst.data(), burst.size());
+    std::string line;
+    std::size_t popped = 0;
+    while (buf.pop(&line)) {
+        ASSERT_EQ(line, std::to_string(popped % 10));
+        ++popped;
+    }
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_EQ(popped, n);
+    EXPECT_LT(secs, 2.0);
+
+    // Partial feeds: bytes already searched are not searched again,
+    // and consumed ones are dropped as the stream goes on.
+    jsonl::LineBuffer drip;
+    popped = 0;
+    for (const char c : burst) {
+        drip.feed(&c, 1);
+        while (drip.pop(&line))
+            ++popped;
+    }
+    EXPECT_EQ(popped, n);
 }
 
 // ---------------------------------------------------------------- cache
@@ -515,6 +576,46 @@ TEST(Scheduler, CancelMidCampaignAndCancelQueued)
     EXPECT_EQ(sched.stats().cancelled, 2u);
 }
 
+TEST(Scheduler, TerminalJobsReleaseTheirCircuit)
+{
+    // A daemon serves jobs for as long as it runs: a finished record
+    // must not pin its parsed netlist, or memory grows with every job.
+    Scheduler sched(schedOpts(1));
+    const std::size_t blockerGates = static_cast<std::size_t>(
+        seq::reynoldsDetector().net.numGates());
+    const auto running = sched.submit(blockerJob("c", 8, 200000));
+    const auto queued = sched.submit(blockerJob("c", 9, 200000));
+    ASSERT_TRUE(running.accepted && queued.accepted);
+    waitRunning(sched, running.id);
+    EXPECT_EQ(sched.stats().retainedGates, 2 * blockerGates);
+    ASSERT_TRUE(sched.cancel(queued.id));
+    EXPECT_EQ(sched.stats().retainedGates, blockerGates);
+    ASSERT_TRUE(sched.cancel(running.id));
+    JobInfo info;
+    ASSERT_TRUE(sched.wait(running.id, &info));
+    EXPECT_EQ(sched.stats().retainedGates, 0u);
+
+    // Done and cache-hit records drop the circuit but keep serving
+    // their verdict.
+    const netlist::Netlist net =
+        roundTripped(netlist::circuits::section36NetworkRepaired());
+    fault::CampaignOptions opts;
+    opts.seed = 3;
+    const auto cold = sched.submit(combJob(net, "a", 0, opts));
+    JobInfo coldInfo;
+    ASSERT_TRUE(sched.wait(cold.id, &coldInfo));
+    ASSERT_EQ(coldInfo.state, JobState::Done);
+    const auto warm = sched.submit(combJob(net, "b", 0, opts));
+    ASSERT_TRUE(warm.cacheHit);
+    EXPECT_EQ(sched.stats().retainedGates, 0u);
+    JobInfo again;
+    ASSERT_TRUE(sched.info(cold.id, &again));
+    EXPECT_EQ(again.verdict, coldInfo.verdict);
+    ASSERT_TRUE(sched.info(warm.id, &again));
+    EXPECT_EQ(again.verdict, coldInfo.verdict);
+    EXPECT_EQ(sched.list().size(), 4u);
+}
+
 TEST(Scheduler, SubscribeStreamsProgressThenExactlyOneTerminal)
 {
     Scheduler::Options o = schedOpts(1);
@@ -828,6 +929,68 @@ TEST_F(ServerTest, DeeplyNestedLineIsAnErrorNotACrash)
         roundTripped(netlist::circuits::section36NetworkRepaired()), 5));
     ASSERT_TRUE(done.find("ok")->asBool());
     EXPECT_EQ(done.find("state")->asString(), "done");
+}
+
+TEST(ServerLimits, OversizedRequestLineIsALocatedErrorAndAClose)
+{
+    Server::Options o;
+    o.socketPath = "/tmp/scal_test_" + std::to_string(::getpid()) +
+                   "_limits.sock";
+    o.scheduler.maxInflight = 1;
+    Server server(std::move(o));
+    server.start();
+
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, server.socketPath().c_str(),
+                 sizeof addr.sun_path - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    // One good request, then a line that never ends within the cap.
+    // The daemon may hang up before the tail is sent.
+    const std::string out = "{\"op\":\"stats\"}\n" +
+                            std::string(jsonl::kMaxLineBytes + 4096, 'x');
+    for (std::size_t sent = 0; sent < out.size();) {
+        const ssize_t k = ::send(fd, out.data() + sent, out.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (k <= 0)
+            break;
+        sent += static_cast<std::size_t>(k);
+    }
+
+    jsonl::LineBuffer buf(jsonl::LineBuffer::kUnbounded);
+    std::vector<jsonl::Value> responses;
+    char chunk[4096];
+    ssize_t k;
+    while ((k = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+        buf.feed(chunk, static_cast<std::size_t>(k));
+        std::string line;
+        while (buf.pop(&line))
+            responses.push_back(jsonl::parse(line));
+    }
+    ::close(fd);
+    // The daemon closed the connection: an EOF, or a reset when the
+    // oversized bytes were still unread.
+    EXPECT_LE(k, 0);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_TRUE(responses[0].find("ok")->asBool());
+    EXPECT_FALSE(responses[1].find("ok")->asBool());
+    EXPECT_EQ(responses[1].find("line")->asUint64(), 2u);
+    EXPECT_NE(responses[1].find("error")->asString().find(
+                  "exceeds " + std::to_string(jsonl::kMaxLineBytes)),
+              std::string::npos)
+        << responses[1].find("error")->asString();
+
+    // Other clients are unaffected.
+    Client client(server.socketPath());
+    jsonl::Object req;
+    req.emplace_back("op", jsonl::Value("stats"));
+    EXPECT_TRUE(
+        client.request(jsonl::Value(std::move(req))).find("ok")->asBool());
+    server.stop();
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon)
